@@ -3,15 +3,14 @@
 Exit codes: 0 success, 1 usage error, 2 geometric failure (non-connection,
 probe violation), 3 model-configuration error.
 
-Numeric output is deterministic for a fixed --seed; set GEO_THREADS=1 to pin
-BLAS threading if bit-identical runs across machines are needed.
+Numeric output is deterministic for a fixed --seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -137,10 +136,8 @@ def cmd_connect(args) -> int:
     model = _resolve_model(args)
     cfg = ConnectConfig(path_kind=args.path)
     if args.rtol is not None:
-        cfg = ConnectConfig(
-            path_kind=args.path,
-            integrator=IntegratorConfig(rtol=args.rtol, atol=args.rtol * 1e-2),
-        )
+        cfg = replace(cfg, integrator=cfg.integrator.with_(rtol=args.rtol,
+                                                             atol=args.rtol * 1e-2))
     outcome = connect(model, getattr(args, "from"), args.to, cfg)
     report = connect_report(model, outcome, getattr(args, "from"), args.to)
     if args.json:
@@ -331,8 +328,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if os.environ.get("GEO_THREADS"):
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["GEO_THREADS"])
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "point", "sentinel") is None and args.command in ("probe",):

@@ -307,18 +307,6 @@ def _ray_is_regular(model: ManifoldModel, p: np.ndarray, v: np.ndarray,
     """Check min singular value of dexp along the straight ray to v."""
     if not np.any(v):
         return True
-    if cfg.integrator.prefer_oracle and model.oracle is not None:
-        prev_det = 1.0  # dexp at 0 is the identity
-        try:
-            for t in np.linspace(1.0 / samples, 1.0, samples):
-                frame = dexp_matrix(model, p, t * v, cfg.integrator)
-                if frame.min_singular_value < cfg.sv_floor \
-                        or frame.det * prev_det < 0.0:
-                    return False
-                prev_det = frame.det
-        except (DomainEscape, LinearizationFailure, StepSizeUnderflow):
-            return False
-        return True
     try:
         var = integrate_variational(model, p, v, t_max=1.0, cfg=cfg.integrator)
     except (LinearizationFailure, StepSizeUnderflow):

@@ -6,10 +6,12 @@ coordinates and convert back to the chart.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import UnknownModel
-from .manifold import ChartDomain, ManifoldModel, embedding_jacobian
+from .errors import StepSizeUnderflow, UnknownModel
+from .manifold import ChartDomain, ManifoldModel
 
 __all__ = ["model_registry", "list_models", "BUILTIN_MODELS"]
 
@@ -94,19 +96,47 @@ def _sphere_embed_jac(x: np.ndarray) -> np.ndarray:
     ])
 
 
-class _SphereOracle:
-    """Great-circle geodesics of the unit sphere."""
+class _QuadricOracle:
+    """Geodesics of a unit quadric {<X, X>_eta = 1}: the sphere or de Sitter space.
+
+    With P the embedded base point and U = d(embed)_p v, the geodesic is
+    cos(ct) P + sin(ct) U/c, cosh(ct) P + sinh(ct) U/c or P + tU as
+    q = <U, U>_eta is positive (q = c^2), negative (q = -c^2) or null.  By
+    isometry q = g_p(v, v), judged null against the chart norm v.v as in
+    ``causal_class``.  A timelike point beyond float range raises
+    StepSizeUnderflow, as the numeric integrator does on the same ray.
+    """
+
+    def __init__(self, metric, embed, embed_jac, chart):
+        self._metric = metric
+        self._embed = embed
+        self._embed_jac = embed_jac
+        self._chart = chart
 
     def point_embedding(self, p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-        P = _sphere_embed(np.asarray(p, dtype=float))
-        U = _sphere_embed_jac(np.asarray(p, dtype=float)) @ np.asarray(v, dtype=float)
-        c = np.linalg.norm(U)
-        if c == 0.0:
-            return P
-        return np.cos(c * t) * P + np.sin(c * t) * (U / c)
+        p = np.asarray(p, dtype=float)
+        v = np.asarray(v, dtype=float)
+        P = self._embed(p)
+        U = self._embed_jac(p) @ v
+        q = float(v @ self._metric(p) @ v)
+        tol = 1e-12 * float(v @ v)
+        if q > tol:
+            c = math.sqrt(q)
+            return math.cos(c * t) * P + (math.sin(c * t) / c) * U
+        if q < -tol:
+            c = math.sqrt(-q)
+            try:
+                ch, sh = math.cosh(c * t), math.sinh(c * t)
+            except OverflowError:
+                raise StepSizeUnderflow(t, "closed-form geodesic overflows") from None
+            # bound on |X| in Python floats, which overflow to inf without a warning
+            if not ch * (math.hypot(*P.tolist()) + math.hypot(*U.tolist()) / c) < 1e308:
+                raise StepSizeUnderflow(t, "closed-form geodesic overflows")
+            return ch * P + (sh / c) * U
+        return P + t * U
 
     def point(self, p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-        return _sphere_chart(self.point_embedding(p, v, t))
+        return self._chart(self.point_embedding(p, v, t))
 
 
 def _sphere2() -> ManifoldModel:
@@ -118,7 +148,8 @@ def _sphere2() -> ManifoldModel:
         metric=_sphere_metric,
         christoffel=_sphere_christoffel,
         christoffel_deriv=_sphere_christoffel_deriv,
-        oracle=_SphereOracle(),
+        oracle=_QuadricOracle(_sphere_metric, _sphere_embed, _sphere_embed_jac,
+                              _sphere_chart),
         embedding=_sphere_embed,
         embedding_jac=_sphere_embed_jac,
         chart_from_embedding=_sphere_chart,
@@ -284,34 +315,6 @@ def _desitter_chart(n: int):
     return chart
 
 
-class _DeSitterOracle:
-    """Trig/hyperbolic/affine geodesic families on the unit hyperboloid."""
-
-    def __init__(self, model_ref: dict):
-        self._ref = model_ref  # late-bound: {'model': ManifoldModel}
-
-    def point_embedding(self, p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-        model = self._ref["model"]
-        P = model.embedding(np.asarray(p, dtype=float))
-        U = embedding_jacobian(model, np.asarray(p, dtype=float)) @ np.asarray(v, dtype=float)
-        eta = np.ones(len(P)); eta[-1] = -1.0
-        q = float(U @ (eta * U))
-        scale = float(U @ U)
-        if scale == 0.0:
-            return P
-        if q > 1e-12 * scale:
-            c = np.sqrt(q)
-            return np.cos(c * t) * P + np.sin(c * t) * (U / c)
-        if q < -1e-12 * scale:
-            c = np.sqrt(-q)
-            return np.cosh(c * t) * P + np.sinh(c * t) * (U / c)
-        return P + t * U
-
-    def point(self, p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-        model = self._ref["model"]
-        return model.chart_from_embedding(self.point_embedding(p, v, t))
-
-
 def _desitter(n: int = 2) -> ManifoldModel:
     if n < 2:
         raise UnknownModel(f"desitter({n})")
@@ -325,23 +328,22 @@ def _desitter(n: int = 2) -> ManifoldModel:
         upper = np.concatenate([np.full(n - 2, np.pi), [np.inf, np.inf]])
         christoffel = None
         christoffel_deriv = None
-    ref: dict = {}
-    model = ManifoldModel(
+    metric, embed = _desitter_metric(n), _desitter_embed(n)
+    embed_jac, chart = _desitter_embed_jac(n), _desitter_chart(n)
+    return ManifoldModel(
         name=f"desitter({n})",
         dim=n,
         signature=(1,) * (n - 1) + (-1,),
         domain=ChartDomain(lower, upper),
-        metric=_desitter_metric(n),
+        metric=metric,
         christoffel=christoffel,
         christoffel_deriv=christoffel_deriv,
-        oracle=_DeSitterOracle(ref),
-        embedding=_desitter_embed(n),
-        embedding_jac=_desitter_embed_jac(n),
-        chart_from_embedding=_desitter_chart(n),
+        oracle=_QuadricOracle(metric, embed, embed_jac, chart),
+        embedding=embed,
+        embedding_jac=embed_jac,
+        chart_from_embedding=chart,
         metadata={"periodic": {n - 2: 2.0 * np.pi}},
     )
-    ref["model"] = model
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ report says so explicitly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -168,9 +169,8 @@ def weak_properness_probe(model: ManifoldModel, p, family: ProbeCurveFamily,
             rows.append(row)
             continue
         tail = images[-cfg.cauchy_tail:]
-        spread = max(
-            float(np.linalg.norm(a - b)) for i, a in enumerate(tail) for b in tail[i + 1:]
-        )
+        # math.dist scales internally, so far-out images do not overflow
+        spread = max(math.dist(a, b) for i, a in enumerate(tail) for b in tail[i + 1:])
         convergent = spread < cfg.cauchy_tol
         bounded = max(norms) <= cfg.norm_cap
         row.update(

@@ -1,14 +1,17 @@
 """INI model configs, CLI subcommands, determinism, and report schemas."""
 import importlib.resources
 import json
+import warnings
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
+import geoconnect.cli as cli
 from geoconnect import (
-    ConfigError, christoffel_eval, metric_eval, model_from_config_text,
-    model_registry,
+    ConfigError, ConnectConfig, christoffel_eval, metric_eval,
+    model_from_config_text, model_registry,
 )
 from geoconnect.cli import main
 
@@ -138,6 +141,24 @@ def test_cli_connect_failure_exit_code(capsys):
     jsonschema.validate(report, _schema("connect_report.schema.json"))
 
 
+def test_cli_connect_rtol_keeps_step_cap(monkeypatch, capsys):
+    """--rtol changes the tolerances only, not the connector's other defaults."""
+    seen = {}
+    real = cli.connect
+
+    def spy(model, p, q, cfg):
+        seen["cfg"] = cfg
+        return real(model, p, q, cfg)
+
+    monkeypatch.setattr(cli, "connect", spy)
+    rc = main(["connect", "--model", "sphere2", "--from", "1.2,0.1",
+               "--to", "1.3,0.2", "--rtol", "1e-7", "--path", "aux"])
+    assert rc == 0
+    expected = replace(ConnectConfig(path_kind="aux"),
+                       integrator=ConnectConfig().integrator.with_(rtol=1e-7, atol=1e-7 * 1e-2))
+    assert seen["cfg"] == expected
+
+
 def test_cli_conj_locus_csv(capsys):
     rc = main(["conj-locus", "--model", "sphere2", "--point", "1.3,0.4",
                "--count", "8", "--tmax", "4", "--refine", "0"])
@@ -177,6 +198,21 @@ def test_cli_probe_schema_and_exit_codes(capsys):
                "--count", "8", "--tmax", "2"])
     assert rc == 0
     jsonschema.validate(json.loads(capsys.readouterr().out), schema)
+
+
+def test_cli_probe_report_is_finite_json(capsys):
+    """Radial de Sitter rays whose closed form overflows read domain_escape."""
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in the report")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["probe", "--model", "desitter", "--kind", "weakproper",
+                   "--point", "0,0", "--family", "radial"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    jsonschema.validate(report, _schema("probe_report.schema.json"))
+    assert "domain_escape" in {row["status"] for row in report["rows"]}
 
 
 def test_cli_convex_check(capsys):

@@ -1,4 +1,6 @@
 """Geodesic integration: typed termination, conservation, oracle agreement."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,27 @@ def test_prefer_oracle_exp():
     v = np.array([0.3, 0.4])
     cfg = IntegratorConfig(prefer_oracle=True)
     assert np.allclose(exp(s, p, v, cfg), exp(s, p, v), atol=1e-8)
+
+
+@pytest.mark.parametrize("tau0,s", [(20.0, 1.0), (15.0, 0.5), (-25.0, -0.7)])
+def test_desitter_oracle_far_from_the_waist(tau0, s):
+    """A purely timelike velocity moves tau by s, however large |tau| is."""
+    d = model_registry("desitter", n=2)
+    x = oracle_geodesic(d, np.array([0.0, tau0]), np.array([0.0, s]), 1.0)
+    assert np.allclose(x, [0.0, tau0 + s], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("p,v", [
+    ((0.0, 0.0), (0.0, 800.0)),   # cosh and sinh overflow
+    ((0.0, 20.0), (0.0, 700.0)),  # their product with the base point overflows
+])
+def test_desitter_oracle_overflow_is_typed(p, v):
+    d = model_registry("desitter", n=2)
+    cfg = IntegratorConfig(prefer_oracle=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeUnderflow):
+            exp(d, np.array(p), np.array(v), cfg)
 
 
 def test_dense_output_consistency():

@@ -45,6 +45,23 @@ def test_dexp_matches_finite_differences(name, p):
         assert np.allclose(frame.endpoint, exp(model, p, v), atol=1e-9)
 
 
+@pytest.mark.parametrize("name,n,p", [
+    ("sphere2", None, np.array([1.2, 0.3])),
+    ("desitter", 2, np.array([0.2, -0.3])),
+    ("desitter", 3, np.array([1.2, 0.3, 0.1])),
+])
+def test_oracle_frame_matches_variational_frame(name, n, p):
+    model = model_registry(name) if n is None else model_registry(name, n=n)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        v = rng.uniform(-0.8, 0.8, model.dim)
+        oracle = dexp_matrix(model, p, v, IntegratorConfig(prefer_oracle=True))
+        var = dexp_matrix(model, p, v)
+        assert np.allclose(oracle.matrix, var.matrix, rtol=0.0, atol=1e-6)
+        assert np.allclose(oracle.endpoint, var.endpoint, rtol=0.0, atol=1e-9)
+        assert np.allclose(oracle.end_velocity, var.end_velocity, rtol=0.0, atol=1e-8)
+
+
 def test_ray_scaling_identity():
     """One variational solve gives d(exp)_{t u} = J(t)/t along the ray."""
     s = model_registry("sphere2")
