@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainEscape, LinearizationFailure, NoConvergence, StepSizeUnderflow
 from .geodesic import IntegratorConfig, Termination, integrate_geodesic
 from .jacobi import (
-    ConjugateLocusSample, DifferentialFrame, _wrap_delta, component_of_point,
+    ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
     dexp_matrix, integrate_variational,
 )
 from .manifold import ManifoldModel, VectorField, auxiliary_riemannian, causal_class, orthonormal_frame
@@ -28,17 +28,21 @@ __all__ = [
 ]
 
 
+CORRECTOR_TOL = 1e-9      # residual a lift corrector accepts
+NEWTON_ITERATIONS = 8     # corrector iteration budget
+FAR_RESIDUAL = 1e-5       # above it Newton steps must contract; local_log integrates coarsely
+SV_FLOOR = 1e-6           # smallest singular value of a regular differential
+ESCAPE_FACTOR = 1e4       # lift escape bound, in target path lengths
+MAX_LIFT_STEPS = 400
+MAX_RETRIES = 8           # detours after a conjugate hit
+BUMP_FRACTION = 0.05      # detour amplitude, in target path lengths
+RAY_SAMPLES = 32          # dexp samples along the fast path's ray
+
+
 @dataclass(frozen=True)
 class ConnectConfig:
-    corrector_tol: float = 1e-9
     connect_tol: float = 1e-6
-    sv_floor: float = 1e-6
-    escape_factor: float = 1e4
-    max_retries: int = 8
-    bump_fraction: float = 0.05
     path_kind: str = "segment"       # 'segment' | 'aux'
-    max_lift_steps: int = 400
-    newton_iterations: int = 8
     integrator: IntegratorConfig = field(
         # step cap keeps runaway correction geodesics from stalling the lift;
         # the final residual is re-checked against connect_tol regardless
@@ -66,6 +70,66 @@ class LiftOutcome:
         return self.status == "Connected"
 
 
+def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarray,
+            fine: IntegratorConfig, coarse: IntegratorConfig, tol: float,
+            max_iter: int, vcap: float, sv_floor: float = 0.0):
+    """Full-step Newton on exp_p(v) = target, for local_log and the lift's corrector.
+
+    Returns (flag, v, frame, residual, iterations), flag one of 'ok' (frame
+    is d(exp_p)_v on ``fine``, residual below ``tol``), 'conjugate' (frame
+    singular or below ``sv_floor``), 'escape' (frame is the DomainEscape) or
+    'fail'.  While the residual is at or above FAR_RESIDUAL, iterates are
+    integrated on ``coarse``, and the iteration fails at the first step whose
+    simplified correction J_k^{-1} F(v_{k+1}) is not shorter than Delta v_k
+    (Deuflhard's natural monotonicity test, *Newton Methods for Nonlinear
+    Problems*, 2004).  It also fails on an iterate that is not finite or
+    exceeds ``vcap``, on a differential that cannot be evaluated, and after
+    ``max_iter`` steps.
+    """
+    frame = None
+    residual = np.inf
+    step = None  # (J_k, |Delta v_k|) of the last step taken from a far residual
+    for it in range(max_iter):
+        if not np.linalg.norm(v) <= vcap:  # also catches inf and nan
+            return "fail", v, frame, residual, it
+        far = residual >= FAR_RESIDUAL
+        ic = coarse if far else fine
+        try:
+            frame = dexp_matrix(model, p, v, ic)
+        except DomainEscape as esc:
+            return "escape", v, esc, residual, it
+        except (LinearizationFailure, StepSizeUnderflow):
+            return "fail", v, None, residual, it
+        r = _wrap_delta(model, frame.endpoint - target)
+        residual = float(np.linalg.norm(r))
+        if residual < tol and ic is fine:
+            return "ok", v, frame, residual, it
+        if step is not None and far and residual >= FAR_RESIDUAL:
+            J_prev, dv_prev = step
+            if np.linalg.norm(np.linalg.solve(J_prev, r)) >= dv_prev:
+                return "fail", v, frame, residual, it
+        if frame.min_singular_value < sv_floor:
+            return "conjugate", v, frame, residual, it
+        try:
+            dv = np.linalg.solve(frame.matrix, r)
+        except np.linalg.LinAlgError:
+            return "conjugate", v, frame, residual, it
+        step = (frame.matrix, float(np.linalg.norm(dv))) if far else None
+        v = v - dv
+    return "fail", v, frame, residual, max_iter
+
+
+def _log_newton(model: ManifoldModel, p: np.ndarray, target: np.ndarray,
+                cfg: ConnectConfig, tol: float = 1e-10, max_iter: int = 50):
+    """local_log's Newton solve, returning the ``_newton`` tuple."""
+    v = target - p
+    # far from the root a cheap integration is enough to steer Newton
+    coarse = cfg.integrator.with_(rtol=max(cfg.integrator.rtol, 1e-6),
+                                  atol=max(cfg.integrator.atol, 1e-8))
+    return _newton(model, p, v, target, cfg.integrator, coarse, tol, max_iter,
+                   vcap=100.0 * (1.0 + np.linalg.norm(v)))
+
+
 def local_log(
     model: ManifoldModel,
     p,
@@ -76,54 +140,24 @@ def local_log(
 ) -> np.ndarray:
     """Invert exp_p near p by full-step Newton iteration seeded at the chart difference.
 
-    Stopping rule: while the residual is above 1e-5 (where the iteration
-    uses a coarse integrator), each new residual F(v_{k+1}) is also solved
-    with the previous differential, giving the simplified correction
-    J_k^{-1} F(v_{k+1}).  If that is not shorter than the step Delta v_k just
-    taken, the iteration is not contracting and it stops at once (the
-    natural monotonicity test of Deuflhard, *Newton Methods for Nonlinear
-    Problems*, 2004).  It also stops when an iterate exceeds
-    100 * (1 + |v0|), when exp_p or its differential cannot be evaluated,
-    or after ``max_iter`` iterations.
+    The iteration and its stopping rule are those of the lift's corrector:
+    while the residual is above 1e-5, it stops at the first step whose
+    simplified correction J_k^{-1} F(v_{k+1}) is not shorter than the step
+    Delta v_k just taken (Deuflhard's natural monotonicity test).  Here that
+    phase runs on a coarse integrator, and iterates are capped at
+    100 * (1 + |v0|).  It also stops when exp_p or its differential cannot
+    be evaluated, or after ``max_iter`` iterations.
 
     Raises NoConvergence in each of these cases.  That means q is not
     reachable by full-step Newton from the chart-difference seed, not that
     q is unreachable from p: ``connect`` then falls back to path lifting.
     """
-    cfg = cfg or ConnectConfig()
-    p = np.asarray(p, dtype=float)
-    target = np.asarray(target, dtype=float)
-    v = target - p
-    cap = 100.0 * (1.0 + np.linalg.norm(v))
-    residual = np.inf
-    # far from the root a cheap integration is enough to steer Newton
-    coarse = cfg.integrator.with_(rtol=max(cfg.integrator.rtol, 1e-6),
-                                  atol=max(cfg.integrator.atol, 1e-8))
-    step = None  # (J_k, |Delta v_k|) of the last step taken on the coarse integrator
-    for it in range(max_iter):
-        ic = cfg.integrator if residual < 1e-5 else coarse
-        try:
-            frame = dexp_matrix(model, p, v, ic)
-        except (DomainEscape, LinearizationFailure, StepSizeUnderflow):
-            raise NoConvergence(it, residual) from None
-        r = _wrap_delta(model, frame.endpoint - target)
-        residual = float(np.linalg.norm(r))
-        if residual < tol and ic is cfg.integrator:
-            return v
-        # natural monotonicity test: contraction Theta >= 1 means divergence
-        if step is not None and ic is coarse and residual >= 1e-5:
-            J_prev, dv_prev = step
-            if np.linalg.norm(np.linalg.solve(J_prev, r)) >= dv_prev:
-                raise NoConvergence(it, residual)
-        try:
-            dv = np.linalg.solve(frame.matrix, r)
-        except np.linalg.LinAlgError:
-            raise NoConvergence(it, residual) from None
-        step = (frame.matrix, float(np.linalg.norm(dv))) if ic is coarse else None
-        v = v - dv
-        if np.linalg.norm(v) > cap or not np.all(np.isfinite(v)):
-            raise NoConvergence(it, residual)
-    raise NoConvergence(max_iter, residual)
+    flag, v, _, residual, it = _log_newton(
+        model, np.asarray(p, dtype=float), np.asarray(target, dtype=float),
+        cfg or ConnectConfig(), tol, max_iter)
+    if flag != "ok":
+        raise NoConvergence(it, residual)
+    return v
 
 
 def _segment_path(p: np.ndarray, q: np.ndarray) -> TargetPath:
@@ -196,59 +230,20 @@ def _bumped_path(base: TargetPath, p: np.ndarray, q: np.ndarray, k: int,
     return TargetPath(pt, dv, ell, base.provenance)
 
 
-def _newton_correct(model, p, v, target, cfg: ConnectConfig, vcap: float = np.inf):
-    """Newton on exp_p(v) = target.  Returns (flag, v, frame, residual);
-    flag in {'ok', 'conjugate', 'escape', 'fail'}."""
-    frame = None
-    residual = np.inf
-    worse = 0
-    for _ in range(cfg.newton_iterations):
-        if float(np.linalg.norm(v)) > vcap:
-            return "fail", v, frame, residual
-        try:
-            frame = dexp_matrix(model, p, v, cfg.integrator)
-        except DomainEscape as esc:
-            return "escape", v, None, {"termination": esc.termination.value, "t": esc.t}
-        except (LinearizationFailure, StepSizeUnderflow):
-            return "fail", v, None, residual
-        r = _wrap_delta(model, frame.endpoint - target)
-        prev = residual
-        residual = float(np.linalg.norm(r))
-        if residual <= cfg.corrector_tol:
-            return "ok", v, frame, residual
-        if residual > prev:
-            worse += 1
-            if worse >= 2:  # diverging: give the caller a smaller step instead
-                return "fail", v, frame, residual
-        if frame.min_singular_value < cfg.sv_floor:
-            return "conjugate", v, frame, residual
-        try:
-            dv = np.linalg.solve(frame.matrix, r)
-        except np.linalg.LinAlgError:
-            return "conjugate", v, frame, residual
-        v = v - dv
-        if not np.all(np.isfinite(v)):
-            return "fail", v, frame, residual
-    return "fail", v, frame, residual
-
-
-def _lift(model: ManifoldModel, p: np.ndarray, sigma: TargetPath,
-          cfg: ConnectConfig, v0: np.ndarray) -> LiftOutcome:
+def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
+          cfg: ConnectConfig) -> LiftOutcome:
     ell = sigma.length
-    escape_bound = cfg.escape_factor * ell
+    escape_bound = ESCAPE_FACTOR * ell
     t = 0.0
-    v = v0.copy()
+    v = np.zeros_like(p)
     dt = ell / 16.0
     dt_min = ell * 1e-7
     trace: list[dict] = []
-    try:
-        frame = dexp_matrix(model, p, v, cfg.integrator)
-    except (DomainEscape, LinearizationFailure, StepSizeUnderflow) as err:
-        return LiftOutcome("DomainExit", None, trace, {"t": 0.0, "error": str(err)})
+    frame = dexp_matrix(model, p, v, cfg.integrator)  # the identity at v = 0
     steps = 0
     fails = 0
     while t < ell:
-        if steps >= cfg.max_lift_steps:
+        if steps >= MAX_LIFT_STEPS:
             return LiftOutcome("Stalled", None, trace,
                                {"reason": "max lift steps", "t": t})
         steps += 1
@@ -260,19 +255,17 @@ def _lift(model: ManifoldModel, p: np.ndarray, sigma: TargetPath,
         except np.linalg.LinAlgError:
             return LiftOutcome("ConjugateHit", None, trace,
                                {"t_hit": t, "min_singular_value": frame.min_singular_value})
-        flag, v_new, frame_new, res = _newton_correct(
-            model, p, v + dv, target, cfg, vcap=2.0 * escape_bound
-        )
+        flag, v_new, frame_new, res, _ = _newton(
+            model, p, v + dv, target, cfg.integrator, cfg.integrator, CORRECTOR_TOL,
+            NEWTON_ITERATIONS, vcap=2.0 * escape_bound, sv_floor=SV_FLOOR)
         if flag == "escape":
-            witness = {"t": t + dt}
-            if isinstance(res, dict):
-                witness.update(res)
-            return LiftOutcome("DomainExit", None, trace, witness)
+            return LiftOutcome("DomainExit", None, trace, {
+                "t": frame_new.t, "termination": frame_new.termination.value})
         if flag == "conjugate":
             return LiftOutcome("ConjugateHit", None, trace, {
                 "t_hit": t + dt,
                 "v_at_hit": v_new.tolist(),
-                "min_singular_value": frame_new.min_singular_value if frame_new else 0.0,
+                "min_singular_value": frame_new.min_singular_value,
             })
         if flag == "fail":
             dt *= 0.5
@@ -299,29 +292,41 @@ def _lift(model: ManifoldModel, p: np.ndarray, sigma: TargetPath,
                 "residuals": [row["residual"] for row in trace],
             })
         dt = min(dt * 1.4, ell / 8.0)
+    # sigma ends at q only up to its own accuracy: check q against the
+    # endpoint of the last accepted frame
+    residual = float(np.linalg.norm(_wrap_delta(model, frame.endpoint - q)))
+    if residual > cfg.connect_tol:
+        return LiftOutcome("Stalled", None, trace,
+                           {"reason": "final residual above connect_tol",
+                            "residual": residual})
     return LiftOutcome("Connected", v, trace, {})
 
 
-def _ray_is_regular(model: ManifoldModel, p: np.ndarray, v: np.ndarray,
-                    cfg: ConnectConfig, samples: int = 32) -> bool:
-    """Check min singular value of dexp along the straight ray to v."""
+def _ray_is_regular(model: ManifoldModel, frame: DifferentialFrame,
+                    cfg: ConnectConfig) -> bool:
+    """Check min singular value of dexp along the straight ray to the frame's v,
+    reusing the frame's own variational integration when it has one."""
+    v = frame.base.vec_array
     if not np.any(v):
         return True
-    try:
-        var = integrate_variational(model, p, v, t_max=1.0, cfg=cfg.integrator)
-    except (LinearizationFailure, StepSizeUnderflow):
-        return False
+    var = frame.path
+    if var is None:
+        try:
+            var = integrate_variational(model, frame.base.base_array, v, t_max=1.0,
+                                        cfg=cfg.integrator)
+        except (LinearizationFailure, StepSizeUnderflow):
+            return False
     if var.termination is not Termination.REACHED_TMAX:
         return False
     prev_det = 1.0
-    for t in np.linspace(1.0 / samples, 1.0, samples):
+    for t in np.linspace(1.0 / RAY_SAMPLES, 1.0, RAY_SAMPLES):
         J = var.dexp_at(t)
         det = float(np.linalg.det(J))
         # a determinant sign flip between samples means a singularity was
         # crossed even if no sample landed inside the (narrow) sv dip
         if det * prev_det < 0.0:
             return False
-        if np.linalg.svd(J, compute_uv=False)[-1] < cfg.sv_floor:
+        if np.linalg.svd(J, compute_uv=False)[-1] < SV_FLOOR:
             return False
         prev_det = det
     return True
@@ -331,33 +336,27 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
     """Find v with exp_p(v) = q by path lifting; typed failure otherwise."""
     cfg = cfg or ConnectConfig()
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float).copy()
     # periodic chart coordinates: lift to the representative nearest p, else
     # the target path may force the lift around a chart seam with no
     # continuous preimage
-    for idx, per in model.metadata.get("periodic", {}).items():
-        q[idx] = p[idx] + (q[idx] - p[idx] + 0.5 * per) % per - 0.5 * per
+    q = _wrap_near(model, np.array(q, dtype=float), p)
     if np.allclose(p, q, atol=cfg.connect_tol * 1e-3):
         return LiftOutcome("Connected", np.zeros_like(p), [], {})
     # fast path: q inside the normal neighborhood of p
-    try:
-        v = local_log(model, p, q, cfg)
-    except NoConvergence:
-        pass
-    else:
-        if _ray_is_regular(model, p, v, cfg):
-            return LiftOutcome("Connected", v, [{
-                "t": float(np.linalg.norm(q - p)),
-                "v": v.tolist(),
-                "residual": 0.0,
-                "min_singular_value": float("nan"),
-            }], {"method": "local_log"})
+    flag, v, frame, _, _ = _log_newton(model, p, q, cfg)
+    if flag == "ok" and _ray_is_regular(model, frame, cfg):
+        return LiftOutcome("Connected", v, [{
+            "t": float(np.linalg.norm(q - p)),
+            "v": v.tolist(),
+            "residual": 0.0,
+            "min_singular_value": frame.min_singular_value,
+        }], {"method": "local_log"})
     base = _aux_path(model, p, q, cfg) if cfg.path_kind == "aux" else _segment_path(p, q)
     attempts: list[dict] = []
     outcome = None
-    for k in range(cfg.max_retries + 1):
-        sigma = base if k == 0 else _bumped_path(base, p, q, k - 1, cfg.bump_fraction)
-        outcome = _lift(model, p, sigma, cfg, np.zeros_like(p))
+    for k in range(MAX_RETRIES + 1):
+        sigma = base if k == 0 else _bumped_path(base, p, q, k - 1, BUMP_FRACTION)
+        outcome = _lift(model, p, q, sigma, cfg)
         if outcome.status != "ConjugateHit":
             break
         attempts.append({"retry": k, **outcome.witness})
@@ -368,14 +367,6 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
             "disconnects the target from p, or the detour schedule is inadequate; "
             "the two cases are not distinguishable from this run"
         )
-    if outcome.connected:
-        residual = float(np.linalg.norm(_wrap_delta(
-            model, dexp_matrix(model, p, outcome.v, cfg.integrator).endpoint - q
-        )))
-        if residual > cfg.connect_tol:
-            return LiftOutcome("Stalled", None, outcome.lift_trace,
-                               {"reason": "final residual above connect_tol",
-                                "residual": residual})
     return outcome
 
 

@@ -48,6 +48,7 @@ class DifferentialFrame:
     min_singular_value: float
     endpoint: np.ndarray          # exp_p(v), from the same integration
     end_velocity: np.ndarray
+    path: Optional[VariationalPath] = None  # the integration, if any, behind the frame
 
 
 @dataclass
@@ -115,11 +116,7 @@ def integrate_variational(
     if not model.domain.contains(p):
         raise OutOfChart(p)
     y0 = np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
-    margin = chart_margin_fn(model)
     base_blow = cfg.blowup_norm
-
-    def margin_y(y):
-        return margin(y[:n]) if margin is not None else 1.0
 
     def blow_fn(y):
         m = base_blow - float(np.max(np.abs(y[:2 * n])))
@@ -128,17 +125,22 @@ def integrate_variational(
 
     ts, ys, sol, term, t_term = _integrate(
         _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps,
-        margin_fn=margin_y if margin is not None else None,
+        margin_fn=chart_margin_fn(model),
         blowup_fn=blow_fn,
     )
     return VariationalPath(model, ts, sol, term, t_term)
 
 
+def _wrap_near(model: ManifoldModel, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Map x, in place, to its periodic representative nearest ref."""
+    for idx, per in model.metadata.get("periodic", {}).items():
+        x[idx] = ref[idx] + (x[idx] - ref[idx] + 0.5 * per) % per - 0.5 * per
+    return x
+
+
 def _wrap_delta(model: ManifoldModel, delta: np.ndarray) -> np.ndarray:
     """Map a chart difference into the nearest periodic representative."""
-    for idx, per in model.metadata.get("periodic", {}).items():
-        delta[idx] = (delta[idx] + 0.5 * per) % per - 0.5 * per
-    return delta
+    return _wrap_near(model, delta, np.zeros_like(delta))
 
 
 def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray,
@@ -183,7 +185,7 @@ def dexp_matrix(
     x1, v1, J = var.split(1.0)
     svals = np.linalg.svd(J, compute_uv=False)
     return DifferentialFrame(
-        base, J, float(np.linalg.det(J)), float(svals[-1]), x1, v1
+        base, J, float(np.linalg.det(J)), float(svals[-1]), x1, v1, var
     )
 
 

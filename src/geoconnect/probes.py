@@ -25,13 +25,13 @@ __all__ = [
 ]
 
 SAMPLED_EVIDENCE = "sampled evidence at a finite horizon, not a proof"
+CAUCHY_TAIL = 5  # trailing images whose spread judges a weak-properness limit
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
     norm_cap: float = 1e3
     cauchy_tol: float = 1e-6
-    cauchy_tail: int = 5
     integrator: IntegratorConfig = field(
         default_factory=lambda: IntegratorConfig(prefer_oracle=True)
     )
@@ -58,14 +58,10 @@ class ProbeVerdict:
     caveat: str = SAMPLED_EVIDENCE
 
 
-def _frame_at(model: ManifoldModel, p) -> tuple[np.ndarray, np.ndarray]:
-    return orthonormal_frame(model, np.asarray(p, dtype=float))
-
-
 def radial_ray_family(model: ManifoldModel, p, count: int = 16,
                       norm_cap: float = 1e3, samples: int = 60) -> ProbeCurveFamily:
     """Rays t -> t*u escaping to the norm cap."""
-    E, _ = _frame_at(model, p)
+    E, _ = orthonormal_frame(model, p)
     n = model.dim
     rng = np.random.default_rng(711)
     schedule = np.geomspace(1e-2, 1.05 * norm_cap, samples)
@@ -84,7 +80,7 @@ def radial_ray_family(model: ManifoldModel, p, count: int = 16,
 def spiral_family(model: ManifoldModel, p, count: int = 8,
                   norm_cap: float = 1e3, samples: int = 80) -> ProbeCurveFamily:
     """Slowly rotating escaping spirals (surfaces only)."""
-    E, _ = _frame_at(model, p)
+    E, _ = orthonormal_frame(model, p)
     schedule = np.geomspace(1e-2, 1.05 * norm_cap, samples)
     curves = []
     for i in range(count):
@@ -106,7 +102,7 @@ def hyperboloid_sweep_family(model: ManifoldModel, p, gnorm: float,
     The curve alpha(chi) = c * (cosh(chi) e_s + sinh(chi) e_t) keeps
     |alpha|_g = c while its chart norm grows without bound.
     """
-    E, signs = _frame_at(model, p)
+    E, signs = orthonormal_frame(model, p)
     es = E[:, np.flatnonzero(signs == 1)[0]]
     et = E[:, np.flatnonzero(signs == -1)[0]]
     chi_max = np.arccosh(max(1.05 * norm_cap / (gnorm * max(np.linalg.norm(es), 1e-12)), 2.0))
@@ -164,11 +160,11 @@ def weak_properness_probe(model: ManifoldModel, p, family: ProbeCurveFamily,
             if nrm > cfg.norm_cap:
                 break
         row = {"curve": curve.curve_id, "status": status}
-        if status == "domain_escape" or len(images) < cfg.cauchy_tail + 1:
+        if status == "domain_escape" or len(images) < CAUCHY_TAIL + 1:
             row.update(image_convergent=None, lift_bounded=None)
             rows.append(row)
             continue
-        tail = images[-cfg.cauchy_tail:]
+        tail = images[-CAUCHY_TAIL:]
         # math.dist scales internally, so far-out images do not overflow
         spread = max(math.dist(a, b) for i, a in enumerate(tail) for b in tail[i + 1:])
         convergent = spread < cfg.cauchy_tol

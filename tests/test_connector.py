@@ -1,4 +1,6 @@
 """Two-point connector: exactness, periodic charts, typed failures, reports."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from geoconnect import (
     ConnectConfig, IntegratorConfig, NoConvergence, connect, connect_report,
     conjugate_locus_sample, exp, local_log, model_registry, render_report,
 )
-from geoconnect.connect import _bumped_path, _segment_path
+from geoconnect.connect import (
+    CORRECTOR_TOL, NEWTON_ITERATIONS, SV_FLOOR, _bumped_path, _newton, _segment_path,
+)
 
 
 def test_flat_connect_is_exact():
@@ -188,3 +192,70 @@ def test_failure_report_carries_witness():
     assert isinstance(report["witness"], dict)
     text = render_report(report)
     assert out.status in text
+
+
+def _count_calls(monkeypatch, module_names, attr):
+    """Wrap ``attr`` in each named module; returns the list of call arguments."""
+    calls = []
+    original = getattr(sys.modules[module_names[0]], attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name in module_names:
+        monkeypatch.setattr(sys.modules[name], attr, wrapper)
+    return calls
+
+
+def test_fast_path_trace_has_finite_singular_value():
+    s = model_registry("sphere2")
+    out = connect(s, np.array([1.2, 0.1]), np.array([1.5, 0.4]))
+    assert out.witness == {"method": "local_log"}
+    assert np.isfinite(out.lift_trace[0]["min_singular_value"])
+    assert out.lift_trace[0]["min_singular_value"] > 0.0
+
+
+@pytest.mark.parametrize("name, p, q", [
+    ("sphere2", [1.2, 0.1], [1.5, 0.4]),
+    ("hyperbolic2", [0.2, 1.0], [0.9, 0.8]),
+])
+def test_fast_path_integrates_each_ray_once(monkeypatch, name, p, q):
+    """The ray check reuses the integration of the converged Newton frame."""
+    model = model_registry(name)
+    jac, con = "geoconnect.jacobi", "geoconnect.connect"
+    integrations = _count_calls(monkeypatch, [jac, con], "integrate_variational")
+    frames = _count_calls(monkeypatch, [jac, con], "dexp_matrix")
+    out = connect(model, np.array(p), np.array(q))
+    assert out.witness == {"method": "local_log"}
+    assert len(frames) > 0
+    assert len(integrations) == len(frames)
+
+
+def test_lift_checks_its_last_frame_without_a_new_dexp(monkeypatch):
+    """The final residual check after a lift reads the last accepted frame."""
+    s = model_registry("sphere2")
+    p = np.array([1.720708, -2.007481])
+    q = np.array([0.771795, -4.837131])
+    frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
+                          "dexp_matrix")
+    out = connect(s, p, q)
+    assert out.connected and "method" not in out.witness
+    at_v = [args for args in frames if np.array_equal(args[2], out.v)]
+    assert len(at_v) == 1
+
+
+def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
+    """With the corrector's settings (fine integrator only, its iteration
+    budget), the shared Newton routine gives up on the expanding pair of
+    ``test_local_log_stops_at_first_non_contracting_step`` within 3 frames."""
+    s = model_registry("sphere2")
+    p = np.array([1.720708, -2.007481])
+    q = np.array([0.771795, -4.837131])
+    fine = ConnectConfig().integrator
+    frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
+                          "dexp_matrix")
+    flag, *_ = _newton(s, p, q - p, q, fine, fine, CORRECTOR_TOL, NEWTON_ITERATIONS,
+                       vcap=np.inf, sv_floor=SV_FLOOR)
+    assert flag == "fail"
+    assert len(frames) <= 3
