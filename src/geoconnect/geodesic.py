@@ -1,28 +1,174 @@
 """Geodesic ODE integration, exponential map, and closed-form oracle access.
 
-The integrator is an embedded Runge-Kutta 5(4) pair (scipy's RK45 stepper,
-driven manually) with dense output per accepted step.  Termination is typed:
-reaching the horizon, leaving the chart (event-located by root finding on
-the dense output), or state blow-up in finite parameter.
+The integrator is the embedded Dormand-Prince 5(4) pair with Shampine's
+quartic continuous extension (Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, II.4-II.6), driven step by step; the dense output
+is kept per accepted step.  Termination is typed: reaching the horizon,
+leaving the chart (event-located by Brent's root finder on the dense
+output), or state blow-up in finite parameter.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import OdeSolution, RK45
-from scipy.optimize import brentq
 
 from .errors import DomainEscape, NoOracle, OutOfChart, StepSizeUnderflow
 from .manifold import ManifoldModel, christoffel_raw
 
 __all__ = [
-    "IntegratorConfig", "Termination", "GeodesicPath",
+    "IntegratorConfig", "Termination", "GeodesicPath", "DenseSolution",
     "integrate_geodesic", "exp", "oracle_geodesic", "oracle_geodesic_embedding",
     "energy", "energy_drift",
 ]
+
+# Dormand-Prince 5(4): nodes C, stage coefficients A, 5th-order weights B,
+# error weights E (5th minus embedded 4th order, over the 6 stages and the
+# first-same-as-last slope), and the dense-output matrix P for Shampine's
+# optimal c_6 (Math. Comp. 46, 1986).
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_STAGES = [(s, _A[s, :s], _C[s]) for s in range(1, 6)]
+
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2          # largest shrink of a rejected step
+_MAX_FACTOR = 10.0         # largest growth after an accepted step
+_ERROR_EXPONENT = -1 / 5   # the local error estimate is O(h^5)
+_RTOL_FLOOR = 100 * math.ulp(1.0)
+_BRENT_RTOL = 4 * math.ulp(1.0)
+
+
+def _rms(x: np.ndarray) -> float:
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+class _Segment:
+    """Quartic interpolant of one accepted step, y_old + h Q (x, x^2, x^3, x^4)."""
+
+    __slots__ = ("t_old", "h", "y_old", "Q")
+
+    def __init__(self, t_old: float, h: float, y_old: np.ndarray, Q: np.ndarray):
+        self.t_old = t_old
+        self.h = h
+        self.y_old = y_old
+        self.Q = Q
+
+    def __call__(self, t):
+        """State at a scalar t, shape (n,), or at a 1-D array of k times, (n, k)."""
+        x = (t - self.t_old) / self.h
+        x2 = x * x
+        x3 = x2 * x
+        y = self.h * np.dot(self.Q, np.array((x, x2, x3, x3 * x)))
+        return y + (self.y_old if y.ndim == 1 else self.y_old[:, None])
+
+
+class DenseSolution:
+    """Continuous solution from the per-step interpolants of an integration.
+
+    ``sol(t)`` has shape ``(n_states,)`` for a scalar t and
+    ``(n_states, n_points)`` for a 1-D array of times.  At a step boundary
+    the earlier step's interpolant is used; times outside ``[ts[0], ts[-1]]``
+    extrapolate the first or last step.
+    """
+
+    def __init__(self, ts: np.ndarray, segments: list[_Segment]):
+        self.ts = ts
+        self.segments = segments
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        last = len(self.segments) - 1
+        if t.ndim == 0:
+            i = int(self.ts.searchsorted(t, side="left")) - 1
+            return self.segments[min(max(i, 0), last)](float(t))
+        # one evaluation per run of points in the same step, in time order
+        order = np.argsort(t)
+        t_sorted = t[order]
+        seg = np.clip(self.ts.searchsorted(t_sorted, side="left") - 1, 0, last)
+        bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1).tolist(), len(t)]
+        ys = np.hstack([self.segments[seg[a]](t_sorted[a:b])
+                        for a, b in zip(bounds[:-1], bounds[1:])])
+        out = np.empty_like(ys)
+        out[:, order] = ys
+        return out
+
+
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
+           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    f(a) and f(b) must differ in sign (ValueError otherwise); an endpoint
+    where f is exactly zero is returned as is.  Each iteration takes an
+    inverse quadratic or secant step when it is short enough and bisects
+    otherwise; the loop stops once the bracket half-width is below
+    (xtol + rtol |x|) / 2.  The step choices follow scipy's ``brentq``.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"root finder: f({x}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("root finder: f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the best iterate in xcur, its bracketing partner in xblk
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)        # secant
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))            # inverse quadratic
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"root finder: no convergence after {maxiter} iterations, at {xcur}")
 
 
 class Termination(Enum):
@@ -52,7 +198,10 @@ class GeodesicPath:
     states: np.ndarray        # (len(ts), 2n): chart position and velocity
     termination: Termination
     term_time: float
-    sol: Optional[OdeSolution] = None
+    sol: Optional[DenseSolution] = None
+    steps: int = 0            # accepted integrator steps
+    rejected: int = 0         # rejected trial steps
+    rhs_evals: int = 0        # right-hand-side evaluations
 
     @property
     def dim(self) -> int:
@@ -83,6 +232,35 @@ class GeodesicPath:
         return self.states[-1, self.dim:]
 
 
+def _initial_step(rhs: Callable, y0: np.ndarray, f0: np.ndarray, t_end: float,
+                  rtol: float, atol: float) -> float:
+    """First trial step from the local error model (Hairer, Norsett & Wanner, II.4)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = rhs(h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _dp_step(rhs: Callable, t: float, y: np.ndarray, f: np.ndarray, h: float,
+             K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Dormand-Prince trial step of size h; the 7 stage slopes land in K."""
+    K[0] = f
+    for s, a, c in _STAGES:
+        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
+    y_new = y + h * np.dot(K[:-1].T, _B)
+    f_new = rhs(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
+
+
 def _integrate(
     rhs: Callable,
     y0: np.ndarray,
@@ -92,54 +270,94 @@ def _integrate(
     max_steps: int,
     margin_fn: Optional[Callable[[np.ndarray], float]] = None,
     blowup_fn: Optional[Callable[[np.ndarray], float]] = None,
-) -> tuple[np.ndarray, np.ndarray, Optional[OdeSolution], Termination, float]:
-    """Drive RK45, watching sign changes of the margin/blow-up monitors."""
-    solver = RK45(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
-    ts = [0.0]
-    ys = [np.asarray(y0, dtype=float)]
-    interpolants = []
+) -> tuple[np.ndarray, np.ndarray, DenseSolution, Termination, float,
+           tuple[int, int, int]]:
+    """Dormand-Prince 5(4) from t = 0 to t_end > 0, watching the monitors.
+
+    Steps are taken with the 5th-order solution.  A trial step is accepted
+    when the RMS of its error estimate over atol + max(|y|, |y_new|) * rtol
+    is below 1; the next step is scaled by 0.9 * err^(-1/5), limited to
+    [0.2, 10] and to at most 1 right after a rejection.  A step below
+    10 ulp(t), or more than max_steps accepted steps, raises
+    StepSizeUnderflow.  When a monitor (chart margin, blow-up margin) is
+    non-positive after a step, the path ends at its first zero on that
+    step's interpolant.  rtol is raised to at least 100 machine epsilons.
+    Returns (ts, ys, sol, termination, term_time, (steps, rejected, rhs_evals)).
+    """
+    if not t_end > 0:
+        raise ValueError(f"integration horizon must be positive, got {t_end}")
+    y = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"initial state not finite: {y}")
+    rtol = max(rtol, _RTOL_FLOOR)
+    monitors = [(fn, kind) for fn, kind in ((margin_fn, Termination.CHART_EXIT),
+                                            (blowup_fn, Termination.BLOW_UP))
+                if fn is not None]
+    f = rhs(0.0, y)
+    h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
+    rhs_evals = 2
+    accepted = rejected = 0
+    K = np.empty((7, y.size))
+    t = 0.0
+    ts = [t]
+    ys = [y]
+    segments = []
     termination = Termination.REACHED_TMAX
     term_time = t_end
-    steps = 0
-    while solver.status == "running":
+    while True:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        retried = False
         # overflow inside a trial step surfaces as a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(solver.t)
-        steps += 1
-        dense = solver.dense_output()
+            while True:
+                if h_abs < min_step:
+                    raise StepSizeUnderflow(t)
+                t_new = min(t + h_abs, t_end)
+                h = t_new - t
+                h_abs = abs(h)
+                y_new, f_new = _dp_step(rhs, t, y, f, h, K)
+                rhs_evals += 6
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                err = _rms(np.dot(K.T, _E) * h / scale)
+                if err < 1:
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+                rejected += 1
+                retried = True
+            factor = _MAX_FACTOR if err == 0 else min(
+                _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            if retried:
+                factor = min(1, factor)
+            h_abs *= factor
+        accepted += 1
+        segment = _Segment(t, h, y, K.T.dot(_P))
+        segments.append(segment)
         hit = None
-        for fn, kind in ((margin_fn, Termination.CHART_EXIT),
-                         (blowup_fn, Termination.BLOW_UP)):
-            if fn is None:
-                continue
-            if fn(solver.y) <= 0.0:
-                f = lambda s: fn(dense(s))
-                lo, hi = dense.t_min, dense.t_max
-                if f(lo) <= 0.0:
-                    t_star = lo
+        for fn, kind in monitors:
+            if fn(y_new) <= 0.0:
+                g = lambda s: fn(segment(s))
+                if g(t) <= 0.0:
+                    t_star = t
                 else:
-                    t_star = brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+                    t_star = _brent(g, t, t_new, xtol=1e-12, rtol=8.9e-16)
                 if hit is None or t_star < hit[0]:
                     hit = (t_star, kind)
         if hit is not None:
-            t_star, kind = hit
-            ts.append(t_star)
-            ys.append(dense(t_star))
-            interpolants.append(dense)
-            termination = kind
-            term_time = t_star
+            term_time, termination = hit
+            ts.append(term_time)
+            ys.append(segment(term_time))
             break
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
-        interpolants.append(dense)
-        if steps >= max_steps:
-            raise StepSizeUnderflow(solver.t, "max_steps exceeded")
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        if accepted >= max_steps:
+            raise StepSizeUnderflow(t, "max_steps exceeded")
+        if t >= t_end:
+            break
     ts_arr = np.asarray(ts)
-    ys_arr = np.asarray(ys)
-    sol = OdeSolution(ts_arr, interpolants) if interpolants else None
-    return ts_arr, ys_arr, sol, termination, term_time
+    return (ts_arr, np.asarray(ys), DenseSolution(ts_arr, segments), termination,
+            term_time, (accepted, rejected, rhs_evals))
 
 
 def geodesic_rhs(model: ManifoldModel) -> Callable:
@@ -176,6 +394,8 @@ def integrate_geodesic(
     v0 = np.asarray(v0, dtype=float)
     if not np.all(np.isfinite(v0)):
         raise ValueError(f"initial velocity not finite: {v0}")
+    if t_end < 0.0:
+        raise ValueError(f"horizon must be non-negative, got {t_end}")
     if not model.domain.contains(p0):
         raise OutOfChart(p0)
     y0 = np.concatenate([p0, v0])
@@ -185,12 +405,12 @@ def integrate_geodesic(
         states = np.tile(y0, (len(ts), 1))
         return GeodesicPath(model, ts, states, Termination.REACHED_TMAX, t_end, None)
     blow = cfg.blowup_norm
-    ts, ys, sol, term, t_term = _integrate(
+    ts, ys, sol, term, t_term, counts = _integrate(
         geodesic_rhs(model), y0, t_end, cfg.rtol, cfg.atol, cfg.max_steps,
         margin_fn=chart_margin_fn(model),
         blowup_fn=lambda y: blow - float(np.max(np.abs(y))),
     )
-    return GeodesicPath(model, ts, ys, term, t_term, sol)
+    return GeodesicPath(model, ts, ys, term, t_term, sol, *counts)
 
 
 def exp(model: ManifoldModel, p, v, cfg: IntegratorConfig | None = None) -> np.ndarray:

@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import OdeSolution
-from scipy.optimize import brentq
 
 from .errors import DomainEscape, LinearizationFailure, OutOfChart
-from .geodesic import IntegratorConfig, Termination, _integrate, chart_margin_fn
+from .geodesic import (
+    DenseSolution, IntegratorConfig, Termination, _brent, _integrate, chart_margin_fn,
+)
 from .manifold import (
     ManifoldModel, Tangent, christoffel_deriv_raw, christoffel_raw,
     embedding_point, orthonormal_frame,
@@ -57,9 +57,12 @@ class VariationalPath:
 
     model: ManifoldModel
     ts: np.ndarray
-    sol: OdeSolution
+    sol: DenseSolution
     termination: Termination
     term_time: float
+    steps: int = 0            # accepted integrator steps
+    rejected: int = 0         # rejected trial steps
+    rhs_evals: int = 0        # right-hand-side evaluations
 
     @property
     def dim(self) -> int:
@@ -123,12 +126,12 @@ def integrate_variational(
         var = float(np.max(np.abs(y[2 * n:])))
         return min(m, VARIATIONAL_BOUND - var)
 
-    ts, ys, sol, term, t_term = _integrate(
+    ts, ys, sol, term, t_term, counts = _integrate(
         _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps,
         margin_fn=chart_margin_fn(model),
         blowup_fn=blow_fn,
     )
-    return VariationalPath(model, ts, sol, term, t_term)
+    return VariationalPath(model, ts, sol, term, t_term, *counts)
 
 
 def _wrap_near(model: ManifoldModel, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -213,7 +216,7 @@ def _first_zero(var: VariationalPath, t_hi: float, singular_tol: float,
     prev_t, prev_d = ts[0] * 1e-3, var.ray_det(ts[0] * 1e-3)
     for t, d in zip(ts, dets):
         if np.sign(d) != np.sign(prev_d) and prev_d != 0.0:
-            return float(brentq(var.ray_det, prev_t, t, xtol=1e-8))
+            return _brent(var.ray_det, prev_t, t, xtol=1e-8)
         if abs(d) < singular_tol:
             # tangential dip: refine to 1e-6 by local scan for the first sub-tol t
             lo, hi = prev_t, t

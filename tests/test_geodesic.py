@@ -1,15 +1,23 @@
 """Geodesic integration: typed termination, conservation, oracle agreement."""
+import dataclasses
+import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import geoconnect
 from geoconnect import (
     DomainEscape, IntegratorConfig, NoOracle, StepSizeUnderflow, Termination,
-    energy, energy_drift, exp, integrate_geodesic, model_registry,
-    oracle_geodesic, oracle_geodesic_embedding,
+    energy, energy_drift, exp, integrate_geodesic, integrate_variational,
+    model_registry, oracle_geodesic, oracle_geodesic_embedding,
 )
+from geoconnect import geodesic, jacobi
 from geoconnect.errors import OutOfChart
+from geoconnect.geodesic import _brent
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -176,6 +184,22 @@ def test_dense_output_consistency():
     for t, x, v in path.nodes[::5]:
         assert np.allclose(path.point(t), x, atol=1e-12)
         assert np.allclose(path.velocity(t), v, atol=1e-12)
+    # an interior node is evaluated on the step that ends there
+    k = len(path.ts) // 2
+    assert np.array_equal(path.sol(path.ts[k]), path.sol.segments[k - 1](path.ts[k]))
+    # scalar t gives (n_states,), an array gives (n_states, n_points) in input order
+    assert path.sol(1.0).shape == (4,)
+    ts = np.array([2.9, 0.0, 1.0, 0.3, 1.0])
+    ys = path.sol(ts)
+    assert ys.shape == (4, 5)
+    for j, t in enumerate(ts):
+        assert np.allclose(ys[:, j], path.sol(t), rtol=1e-14, atol=1e-15)
+
+
+def test_negative_horizon_is_rejected():
+    s = model_registry("sphere2")
+    with pytest.raises(ValueError):
+        integrate_geodesic(s, np.array([1.0, 0.0]), np.array([0.2, 0.5]), t_max=-1.0)
 
 
 def test_integrator_config_with():
@@ -183,3 +207,163 @@ def test_integrator_config_with():
     cfg2 = cfg.with_(rtol=1e-6)
     assert cfg2.rtol == 1e-6 and cfg.rtol == 1e-10
     assert cfg2.atol == cfg.atol
+
+
+def test_step_counters():
+    """Each attempt costs six RHS calls, after one initial slope and one probe."""
+    s = model_registry("sphere2")
+    d = model_registry("desitter", n=2)
+    calls = []
+    counted = dataclasses.replace(
+        s, christoffel=lambda x: calls.append(x) or s.christoffel(x))
+    paths = [
+        integrate_geodesic(counted, np.array([0.5, 0.0]), np.array([-1.0, 1e-3]), t_max=3.0),
+        integrate_geodesic(s, np.array([0.5, 1.0]), np.array([-1.0, 0.0]), t_max=2.0),
+        integrate_variational(d, np.array([0.2, 0.3]), np.array([0.4, 1.1]), t_max=3.0),
+    ]
+    assert paths[0].rejected > 0
+    assert paths[0].rhs_evals == len(calls)
+    for path in paths:
+        assert path.steps == len(path.ts) - 1 > 0
+        assert path.rhs_evals == 2 + 6 * (path.steps + path.rejected)
+
+
+def test_flat_shot_rejects_no_step():
+    e = model_registry("euclidean", n=3)
+    path = integrate_geodesic(e, np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.7, -1.1]),
+                              t_max=2.0)
+    assert path.steps > 0
+    assert path.rejected == 0
+
+
+def test_brent_returns_an_endpoint_root_as_is():
+    assert _brent(lambda x: x - 2.0, 2.0, 5.0, 1e-12) == 2.0
+    assert _brent(lambda x: x - 5.0, 2.0, 5.0, 1e-12) == 5.0
+
+
+def test_brent_needs_a_sign_change():
+    with pytest.raises(ValueError):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+
+def test_brent_finds_cos_root():
+    for xtol in (1e-12, 1e-8):
+        assert abs(_brent(math.cos, 1.0, 2.0, xtol) - 0.5 * math.pi) <= xtol
+    # numpy ends still give a Python float, as conjugate times always were
+    assert type(_brent(math.cos, np.float64(1.0), np.float64(2.0), 1e-8)) is float
+
+
+def test_import_pulls_in_no_scipy():
+    code = ("import geoconnect, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoconnect.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+# -- parity with scipy's RK45 and brentq, when scipy is installed --------------
+
+def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, margin_fn=None,
+                     blowup_fn=None):
+    """The event-watching loop driven by scipy's RK45, as the reference."""
+    from scipy.integrate import RK45, OdeSolution
+    from scipy.optimize import brentq
+
+    solver = RK45(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
+    ts, ys, interpolants = [0.0], [np.asarray(y0, dtype=float)], []
+    termination, term_time = Termination.REACHED_TMAX, t_end
+    while solver.status == "running":
+        with np.errstate(over="ignore", invalid="ignore"):
+            solver.step()
+        assert solver.status != "failed"
+        dense = solver.dense_output()
+        interpolants.append(dense)
+        hit = None
+        for fn, kind in ((margin_fn, Termination.CHART_EXIT),
+                         (blowup_fn, Termination.BLOW_UP)):
+            if fn is None or fn(solver.y) > 0.0:
+                continue
+            f = lambda s: fn(dense(s))
+            lo, hi = dense.t_min, dense.t_max
+            t_star = lo if f(lo) <= 0.0 else brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+            if hit is None or t_star < hit[0]:
+                hit = (t_star, kind)
+        if hit is not None:
+            term_time, termination = hit
+            ts.append(term_time)
+            ys.append(dense(term_time))
+            break
+        ts.append(solver.t)
+        ys.append(solver.y.copy())
+    ts = np.asarray(ts)
+    steps = len(ts) - 1
+    rejected = (solver.nfev - 2) // 6 - steps
+    return (ts, np.asarray(ys), OdeSolution(ts, interpolants), termination, term_time,
+            (steps, rejected, solver.nfev))
+
+
+@pytest.mark.parametrize("name,p,v,t_max,variational,termination", [
+    ("sphere2", (0.5, 1.0), (-1.0, 0.0), 2.0, False, Termination.CHART_EXIT),
+    ("clifton_pohl", (1.0, 0.5), (1.0, 1.0), 3.0, False, Termination.BLOW_UP),
+    ("hyperbolic2", (0.3, 1.0), (1.0, 0.4), 3.0, False, Termination.REACHED_TMAX),
+    ("desitter", (0.2, 0.3), (0.4, 1.1), 3.0, True, Termination.REACHED_TMAX),
+])
+def test_integrator_matches_scipy_rk45(monkeypatch, name, p, v, t_max, variational,
+                                       termination):
+    pytest.importorskip("scipy")
+    model = model_registry(name)
+
+    def run():
+        if variational:
+            return integrate_variational(model, np.array(p), np.array(v), t_max=t_max)
+        return integrate_geodesic(model, np.array(p), np.array(v), t_max=t_max)
+
+    ours = run()
+    monkeypatch.setattr(geodesic, "_integrate", _scipy_integrate)
+    monkeypatch.setattr(jacobi, "_integrate", _scipy_integrate)
+    ref = run()
+    assert ours.termination is ref.termination is termination
+    assert ours.term_time == ref.term_time
+    np.testing.assert_array_equal(ours.ts, ref.ts)
+    assert (ours.steps, ours.rejected, ours.rhs_evals) == (ref.steps, ref.rejected,
+                                                           ref.rhs_evals)
+    if not variational:
+        np.testing.assert_array_equal(ours.states, ref.states)
+    samples = np.linspace(0.0, ref.term_time, 7)
+    np.testing.assert_array_equal(ours.sol(samples), ref.sol(samples))
+    for t in [*samples, *ref.ts]:
+        np.testing.assert_array_equal(ours.sol(t), ref.sol(t))
+
+
+_BRACKETS = [
+    (math.cos, 1.0, 2.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, 0.0, 1.0),
+    (lambda x: math.atan(x - 0.3), -1.0, 4.0),
+    (lambda x: x * math.exp(x) - 1.0, 0.0, 1.0),
+    (lambda x: (x - 1.0) ** 5 + 1e-3 * (x - 1.0), 0.0, 3.2),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -2.0, 1.0),
+    (lambda x: x ** 9 - 1e-3, 0.0, 2.0),
+    (lambda x: math.exp(10.0 * x) - 5.0, -1.0, 2.0),
+    (lambda x: math.copysign(abs(x - 0.7) ** 0.1, x - 0.7), 0.0, 2.0),
+    (lambda x: x - 0.4 + 0.3 * math.sin(15.0 * x), -1.0, 2.0),
+    (math.log, 0.01, 10.0),
+]
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 1e-8])
+def test_brent_matches_scipy_brentq(xtol):
+    optimize = pytest.importorskip("scipy.optimize")
+    for f, a, b in _BRACKETS:
+        assert _brent(f, a, b, xtol) == optimize.brentq(f, a, b, xtol=xtol)
+        assert (_brent(f, a, b, xtol, rtol=8.9e-16)
+                == optimize.brentq(f, a, b, xtol=xtol, rtol=8.9e-16))
+    # a triple root defeats both within 100 iterations at xtol 1e-12
+    cube = lambda x: (x - 1.0) ** 3
+    for solve in (lambda: _brent(cube, 0.0, 3.2, 1e-12),
+                  lambda: optimize.brentq(cube, 0.0, 3.2, xtol=1e-12)):
+        with pytest.raises(RuntimeError):
+            solve()
