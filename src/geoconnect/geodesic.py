@@ -57,6 +57,7 @@ _MAX_FACTOR = 10.0         # largest growth after an accepted step
 _ERROR_EXPONENT = -1 / 5   # the local error estimate is O(h^5)
 _RTOL_FLOOR = 100 * math.ulp(1.0)
 _BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
 
 
 def _rms(x: np.ndarray) -> float:
@@ -88,26 +89,29 @@ class DenseSolution:
 
     ``sol(t)`` has shape ``(n_states,)`` for a scalar t and
     ``(n_states, n_points)`` for a 1-D array of times.  At a step boundary
-    the earlier step's interpolant is used; times outside ``[ts[0], ts[-1]]``
-    extrapolate the first or last step.
+    the earlier step's interpolant is used; times outside the integrated
+    range extrapolate the first or last step.  A backward integration
+    (sign -1) stepped in s = -t, and its interpolants take s.
     """
 
-    def __init__(self, ts: np.ndarray, segments: list[_Segment]):
+    def __init__(self, ts: np.ndarray, segments: list[_Segment], sign: float = 1.0):
         self.ts = ts
         self.segments = segments
+        self.sign = sign
+        self._nodes = sign * ts   # increasing, in the stepping variable
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t)
+        s = self.sign * np.asarray(t)
         last = len(self.segments) - 1
-        if t.ndim == 0:
-            i = int(self.ts.searchsorted(t, side="left")) - 1
-            return self.segments[min(max(i, 0), last)](float(t))
-        # one evaluation per run of points in the same step, in time order
-        order = np.argsort(t)
-        t_sorted = t[order]
-        seg = np.clip(self.ts.searchsorted(t_sorted, side="left") - 1, 0, last)
+        if s.ndim == 0:
+            i = int(self._nodes.searchsorted(s, side="left")) - 1
+            return self.segments[min(max(i, 0), last)](float(s))
+        # one evaluation per run of points in the same step, in stepping order
+        order = np.argsort(s)
+        s_sorted = s[order]
+        seg = np.clip(self._nodes.searchsorted(s_sorted, side="left") - 1, 0, last)
         bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1).tolist(), len(t)]
-        ys = np.hstack([self.segments[seg[a]](t_sorted[a:b])
+        ys = np.hstack([self.segments[seg[a]](s_sorted[a:b])
                         for a, b in zip(bounds[:-1], bounds[1:])])
         out = np.empty_like(ys)
         out[:, order] = ys
@@ -115,7 +119,7 @@ class DenseSolution:
 
 
 def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
-           rtol: float = _BRENT_RTOL, maxiter: int = 100) -> float:
+           rtol: float = _BRENT_RTOL) -> float:
     """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     f(a) and f(b) must differ in sign (ValueError otherwise); an endpoint
@@ -139,7 +143,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("root finder: f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -168,7 +172,8 @@ def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"root finder: no convergence after {maxiter} iterations, at {xcur}")
+    raise RuntimeError(f"root finder: no convergence after {_BRENT_MAXITER} iterations, "
+                       f"at {xcur}")
 
 
 class Termination(Enum):
@@ -191,17 +196,36 @@ class IntegratorConfig:
         return replace(self, **kw)
 
 
+class _StepCounts:
+    """Integrator work behind a path with node times ``ts`` and ``rejected`` trial steps.
+
+    A path without dense output was not integrated and counts no work.
+    """
+
+    ts: np.ndarray
+    sol: Optional[DenseSolution]
+    rejected: int
+
+    @property
+    def steps(self) -> int:
+        """Accepted integrator steps."""
+        return len(self.ts) - 1 if self.sol is not None else 0
+
+    @property
+    def rhs_evals(self) -> int:
+        """Right-hand-side calls: the initial slope, the first-step probe, six per attempt."""
+        return 2 + 6 * (self.steps + self.rejected) if self.steps else 0
+
+
 @dataclass
-class GeodesicPath:
+class GeodesicPath(_StepCounts):
     model: ManifoldModel
-    ts: np.ndarray            # accepted step times, strictly increasing
+    ts: np.ndarray            # accepted step times, strictly monotone from 0
     states: np.ndarray        # (len(ts), 2n): chart position and velocity
     termination: Termination
     term_time: float
     sol: Optional[DenseSolution] = None
-    steps: int = 0            # accepted integrator steps
     rejected: int = 0         # rejected trial steps
-    rhs_evals: int = 0        # right-hand-side evaluations
 
     @property
     def dim(self) -> int:
@@ -270,9 +294,8 @@ def _integrate(
     max_steps: int,
     margin_fn: Optional[Callable[[np.ndarray], float]] = None,
     blowup_fn: Optional[Callable[[np.ndarray], float]] = None,
-) -> tuple[np.ndarray, np.ndarray, DenseSolution, Termination, float,
-           tuple[int, int, int]]:
-    """Dormand-Prince 5(4) from t = 0 to t_end > 0, watching the monitors.
+) -> tuple[np.ndarray, np.ndarray, DenseSolution, Termination, float, int]:
+    """Dormand-Prince 5(4) from t = 0 to t_end, watching the monitors.
 
     Steps are taken with the 5th-order solution.  A trial step is accepted
     when the RMS of its error estimate over atol + max(|y|, |y_new|) * rtol
@@ -282,20 +305,29 @@ def _integrate(
     StepSizeUnderflow.  When a monitor (chart margin, blow-up margin) is
     non-positive after a step, the path ends at its first zero on that
     step's interpolant.  rtol is raised to at least 100 machine epsilons.
-    Returns (ts, ys, sol, termination, term_time, (steps, rejected, rhs_evals)).
+    A negative t_end is integrated forward in s = -t, which takes the same
+    steps as stepping backward in t; t_end = 0 gives the one-node path.
+    Returns (ts, ys, sol, termination, term_time, rejected trial steps).
     """
-    if not t_end > 0:
-        raise ValueError(f"integration horizon must be positive, got {t_end}")
     y = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError(f"initial state not finite: {y}")
+    if t_end == 0:
+        ts0 = np.zeros(1)
+        constant = _Segment(0.0, 1.0, y, np.zeros((y.size, 4)))
+        return (ts0, y[None, :], DenseSolution(ts0, [constant]), Termination.REACHED_TMAX,
+                0.0, 0)
+    sign = math.copysign(1.0, t_end)
+    if sign < 0:
+        forward = rhs
+        rhs = lambda s, z: -forward(-s, z)
+    t_end = abs(t_end)
     rtol = max(rtol, _RTOL_FLOOR)
     monitors = [(fn, kind) for fn, kind in ((margin_fn, Termination.CHART_EXIT),
                                             (blowup_fn, Termination.BLOW_UP))
                 if fn is not None]
     f = rhs(0.0, y)
     h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
-    rhs_evals = 2
     accepted = rejected = 0
     K = np.empty((7, y.size))
     t = 0.0
@@ -312,12 +344,11 @@ def _integrate(
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
                 if h_abs < min_step:
-                    raise StepSizeUnderflow(t)
+                    raise StepSizeUnderflow(sign * t)
                 t_new = min(t + h_abs, t_end)
                 h = t_new - t
                 h_abs = abs(h)
                 y_new, f_new = _dp_step(rhs, t, y, f, h, K)
-                rhs_evals += 6
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
                 err = _rms(np.dot(K.T, _E) * h / scale)
                 if err < 1:
@@ -352,12 +383,12 @@ def _integrate(
         ts.append(t)
         ys.append(y)
         if accepted >= max_steps:
-            raise StepSizeUnderflow(t, "max_steps exceeded")
+            raise StepSizeUnderflow(sign * t, "max_steps exceeded")
         if t >= t_end:
             break
-    ts_arr = np.asarray(ts)
-    return (ts_arr, np.asarray(ys), DenseSolution(ts_arr, segments), termination,
-            term_time, (accepted, rejected, rhs_evals))
+    ts_arr = np.asarray(ts) if sign > 0 else 0.0 - np.asarray(ts)   # no -0.0 start
+    return (ts_arr, np.asarray(ys), DenseSolution(ts_arr, segments, sign), termination,
+            sign * term_time, rejected)
 
 
 def geodesic_rhs(model: ManifoldModel) -> Callable:
@@ -394,8 +425,6 @@ def integrate_geodesic(
     v0 = np.asarray(v0, dtype=float)
     if not np.all(np.isfinite(v0)):
         raise ValueError(f"initial velocity not finite: {v0}")
-    if t_end < 0.0:
-        raise ValueError(f"horizon must be non-negative, got {t_end}")
     if not model.domain.contains(p0):
         raise OutOfChart(p0)
     y0 = np.concatenate([p0, v0])
@@ -405,12 +434,12 @@ def integrate_geodesic(
         states = np.tile(y0, (len(ts), 1))
         return GeodesicPath(model, ts, states, Termination.REACHED_TMAX, t_end, None)
     blow = cfg.blowup_norm
-    ts, ys, sol, term, t_term, counts = _integrate(
+    ts, ys, sol, term, t_term, rejected = _integrate(
         geodesic_rhs(model), y0, t_end, cfg.rtol, cfg.atol, cfg.max_steps,
         margin_fn=chart_margin_fn(model),
         blowup_fn=lambda y: blow - float(np.max(np.abs(y))),
     )
-    return GeodesicPath(model, ts, ys, term, t_term, sol, *counts)
+    return GeodesicPath(model, ts, ys, term, t_term, sol, rejected)
 
 
 def exp(model: ManifoldModel, p, v, cfg: IntegratorConfig | None = None) -> np.ndarray:

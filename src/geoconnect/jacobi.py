@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure, OutOfChart
 from .geodesic import (
-    DenseSolution, IntegratorConfig, Termination, _brent, _integrate, chart_margin_fn,
+    DenseSolution, IntegratorConfig, Termination, _brent, _integrate, _StepCounts,
+    chart_margin_fn,
 )
 from .manifold import (
     ManifoldModel, Tangent, christoffel_deriv_raw, christoffel_raw,
@@ -52,7 +53,7 @@ class DifferentialFrame:
 
 
 @dataclass
-class VariationalPath:
+class VariationalPath(_StepCounts):
     """Base geodesic plus the matrix Jacobi solution J with J(0)=0, J'(0)=I."""
 
     model: ManifoldModel
@@ -60,9 +61,7 @@ class VariationalPath:
     sol: DenseSolution
     termination: Termination
     term_time: float
-    steps: int = 0            # accepted integrator steps
     rejected: int = 0         # rejected trial steps
-    rhs_evals: int = 0        # right-hand-side evaluations
 
     @property
     def dim(self) -> int:
@@ -126,12 +125,12 @@ def integrate_variational(
         var = float(np.max(np.abs(y[2 * n:])))
         return min(m, VARIATIONAL_BOUND - var)
 
-    ts, ys, sol, term, t_term, counts = _integrate(
+    ts, ys, sol, term, t_term, rejected = _integrate(
         _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps,
         margin_fn=chart_margin_fn(model),
         blowup_fn=blow_fn,
     )
-    return VariationalPath(model, ts, sol, term, t_term, *counts)
+    return VariationalPath(model, ts, sol, term, t_term, rejected)
 
 
 def _wrap_near(model: ManifoldModel, x: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -115,6 +115,26 @@ def test_cli_shoot_csv(capsys):
     assert "termination: ReachedTmax" in captured.err
 
 
+def test_cli_shoot_backward(capsys):
+    rc = main(["shoot", "--model", "sphere2", "--from", "1.2,0.1", "--vel", "0.3,0.5",
+               "--tmax=-1", "--samples", "3"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    rows = [[float(c) for c in l.split(",")] for l in captured.out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == [0.0, -0.5, -1.0]
+    assert rows[0][1:] == [1.2, 0.1, 0.3, 0.5]
+    assert "termination: ReachedTmax at t = -1" in captured.err
+
+
+def test_cli_conj_locus_zero_horizon(capsys):
+    rc = main(["conj-locus", "--model", "sphere2", "--point", "1.3,0.4",
+               "--count", "4", "--tmax", "0", "--refine", "0"])
+    assert rc == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(r.endswith(",none") for r in rows)
+
+
 def test_cli_exp(capsys):
     rc = main(["exp", "--model", "minkowski", "--dim", "2",
                "--from", "1,1", "--vel", "0.5,-0.25"])

@@ -196,10 +196,37 @@ def test_dense_output_consistency():
         assert np.allclose(ys[:, j], path.sol(t), rtol=1e-14, atol=1e-15)
 
 
-def test_negative_horizon_is_rejected():
+def test_negative_horizon_integrates_backward():
+    """Backward in t from (p, v) is forward from (p, -v), events included."""
     s = model_registry("sphere2")
-    with pytest.raises(ValueError):
-        integrate_geodesic(s, np.array([1.0, 0.0]), np.array([0.2, 0.5]), t_max=-1.0)
+    p, v = np.array([0.5, 1.0]), np.array([1.0, 0.0])
+    back = integrate_geodesic(s, p, v, t_max=-2.0)
+    fwd = integrate_geodesic(s, p, -v, t_max=2.0)
+    assert back.termination is fwd.termination is Termination.CHART_EXIT
+    assert back.term_time == pytest.approx(-fwd.term_time, abs=1e-9)
+    assert back.ts[0] == 0.0 and np.all(np.diff(back.ts) < 0)
+    assert back.ts[-1] == back.term_time
+    assert np.allclose(back.endpoint, fwd.endpoint, atol=1e-8)
+    for t, x, w in back.nodes:
+        assert np.allclose(back.point(t), x, atol=1e-12)
+        assert np.allclose(back.velocity(t), w, atol=1e-12)
+    ts = np.linspace(0.0, back.term_time, 9)
+    assert np.allclose(back.sol(ts)[:2], fwd.sol(-ts)[:2], atol=1e-8)
+
+
+def test_zero_horizon_is_the_start():
+    s = model_registry("sphere2")
+    p, v = np.array([1.3, 0.4]), np.array([0.2, 0.5])
+    path = integrate_geodesic(s, p, v, t_max=0.0)
+    assert path.ts.tolist() == [0.0] and path.termination is Termination.REACHED_TMAX
+    still = integrate_geodesic(s, p, np.zeros(2), t_max=1.0)
+    assert still.ts.tolist() == [0.0, 1.0] and (still.steps, still.rhs_evals) == (0, 0)
+    var = integrate_variational(s, p, v, t_max=0.0)
+    assert var.ts.tolist() == [0.0] and var.term_time == 0.0
+    assert (var.steps, var.rejected, var.rhs_evals) == (0, 0, 0)
+    assert np.array_equal(var.split(0.0)[0], p)
+    assert np.array_equal(var.dexp_at(0.0), np.eye(2))
+    assert jacobi.first_conjugate_time(s, p, v, t_max=0.0) is None
 
 
 def test_integrator_config_with():
@@ -299,16 +326,17 @@ def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, margin_fn=None,
         ts.append(solver.t)
         ys.append(solver.y.copy())
     ts = np.asarray(ts)
-    steps = len(ts) - 1
-    rejected = (solver.nfev - 2) // 6 - steps
+    attempts, extra = divmod(solver.nfev - 2, 6)
+    assert extra == 0
     return (ts, np.asarray(ys), OdeSolution(ts, interpolants), termination, term_time,
-            (steps, rejected, solver.nfev))
+            attempts - (len(ts) - 1))
 
 
 @pytest.mark.parametrize("name,p,v,t_max,variational,termination", [
     ("sphere2", (0.5, 1.0), (-1.0, 0.0), 2.0, False, Termination.CHART_EXIT),
     ("clifton_pohl", (1.0, 0.5), (1.0, 1.0), 3.0, False, Termination.BLOW_UP),
     ("hyperbolic2", (0.3, 1.0), (1.0, 0.4), 3.0, False, Termination.REACHED_TMAX),
+    ("hyperbolic2", (0.3, 1.0), (1.0, 0.4), -3.0, False, Termination.REACHED_TMAX),
     ("desitter", (0.2, 0.3), (0.4, 1.1), 3.0, True, Termination.REACHED_TMAX),
 ])
 def test_integrator_matches_scipy_rk45(monkeypatch, name, p, v, t_max, variational,
