@@ -239,8 +239,7 @@ def cmd_probe(args) -> int:
 def _run_convex(model: ManifoldModel, args) -> dict:
     if not args.f:
         raise ConfigError("convex check needs --f EXPR")
-    expr = dsl.parse(args.f, model.dim)
-    f = ScalarField(lambda x: dsl.evaluate(expr, x), name=args.f)
+    f = ScalarField(dsl.compile_expr(dsl.parse(args.f, model.dim)), name=args.f)
     rng = np.random.default_rng(args.seed)
     lo = model.domain.lower
     hi = model.domain.upper

@@ -22,7 +22,9 @@ import numpy as np
 
 from . import dsl
 from .errors import ConfigError
-from .manifold import ChartDomain, ManifoldModel
+from .manifold import (
+    ChartDomain, ManifoldModel, christoffel_deriv_from_metric, christoffel_from_metric,
+)
 from .models import model_registry
 
 __all__ = ["load_model_config", "model_from_config_text"]
@@ -117,22 +119,72 @@ def model_from_config_text(text: str) -> ManifoldModel:
     upper = _parse_bounds(sec.get("upper"), dim, np.inf)
     domain = ChartDomain(lower, upper)
 
-    def metric(x: np.ndarray) -> np.ndarray:
-        g = np.zeros((dim, dim))
-        for (i, j), expr in entries.items():
-            val = dsl.evaluate(expr, x)
-            g[i - 1, j - 1] = val
-            g[j - 1, i - 1] = val
-        return g
-
+    connection = _DslConnection(dim, entries)
     return ManifoldModel(
         name=name,
         dim=dim,
         signature=signature,
         domain=domain,
-        metric=metric,
+        metric=connection.metric,
+        christoffel=connection.christoffel,
+        christoffel_deriv=connection.christoffel_deriv,
         metadata={"source": "config"},
     )
+
+
+class _DslConnection:
+    """Metric and Levi-Civita connection of DSL metric components.
+
+    Every component, and each of its first and second partial derivatives that
+    is not identically zero, is differentiated symbolically and compiled once,
+    here; evaluation runs only the compiled closures.  Coordinates are 0-based.
+    """
+
+    def __init__(self, dim: int, entries: dict[tuple[int, int], dsl.Expr]):
+        self.dim = dim
+        self.g = []      # (i, j, f): g_ij
+        self.dg = []     # (l, i, j, f): d_l g_ij
+        self.ddg = []    # (m, l, i, j, f), m <= l: d_m d_l g_ij
+        for (i, j), expr in entries.items():
+            self.g.append((i - 1, j - 1, dsl.compile_expr(expr)))
+            for l in range(dim):
+                d = dsl.derive(expr, l + 1)
+                if d == dsl.Num(0.0):
+                    continue
+                self.dg.append((l, i - 1, j - 1, dsl.compile_expr(d)))
+                for m in range(l + 1):
+                    dd = dsl.derive(d, m + 1)
+                    if dd != dsl.Num(0.0):
+                        self.ddg.append((m, l, i - 1, j - 1, dsl.compile_expr(dd)))
+
+    def _metric(self, xs: list) -> np.ndarray:
+        g = np.zeros((self.dim, self.dim))
+        for i, j, f in self.g:
+            g[i, j] = g[j, i] = f(xs)
+        return g
+
+    def _metric_deriv(self, xs: list) -> np.ndarray:
+        n = self.dim
+        dg = np.zeros((n, n, n))
+        for l, i, j, f in self.dg:
+            dg[l, i, j] = dg[l, j, i] = f(xs)
+        return dg
+
+    def metric(self, x: np.ndarray) -> np.ndarray:
+        return self._metric(np.asarray(x, dtype=float).tolist())
+
+    def christoffel(self, x: np.ndarray) -> np.ndarray:
+        xs = np.asarray(x, dtype=float).tolist()
+        return christoffel_from_metric(x, self._metric(xs), self._metric_deriv(xs))
+
+    def christoffel_deriv(self, x: np.ndarray) -> np.ndarray:
+        xs = np.asarray(x, dtype=float).tolist()
+        n = self.dim
+        ddg = np.zeros((n, n, n, n))
+        for m, l, i, j, f in self.ddg:
+            ddg[m, l, i, j] = ddg[m, l, j, i] = ddg[l, m, i, j] = ddg[l, m, j, i] = f(xs)
+        return christoffel_deriv_from_metric(
+            x, self._metric(xs), self._metric_deriv(xs), ddg)
 
 
 def load_model_config(path: str) -> ManifoldModel:

@@ -180,7 +180,6 @@ class Termination(Enum):
     REACHED_TMAX = "ReachedTmax"
     CHART_EXIT = "ChartExit"
     BLOW_UP = "BlowUp"
-    ORACLE_EXACT = "OracleExact"
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A model is a single chart (an open box, optionally refined by a smooth
 interior function) together with a metric evaluator.  Christoffel symbols
-come from an analytic evaluator when the model supplies one and are
-otherwise derived from the metric by central differences.
+come from the model's own evaluator: closed form for the builtins, exact
+symbolic metric derivatives for DSL models.  Central differences of the
+metric are the fallback only for models that supply a bare metric.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .errors import DegenerateMetric, NotTimelike, OutOfChart
 __all__ = [
     "ChartDomain", "ManifoldModel", "Tangent", "ScalarField", "VectorField",
     "metric_eval", "christoffel_eval", "inner", "causal_class",
+    "christoffel_from_metric", "christoffel_deriv_from_metric",
     "auxiliary_riemannian", "embedding_point", "embedding_jacobian",
     "orthonormal_frame", "DEGENERACY_TOL",
 ]
@@ -36,15 +38,23 @@ class ChartDomain:
     def unbounded(dim: int) -> "ChartDomain":
         return ChartDomain(np.full(dim, -np.inf), np.full(dim, np.inf))
 
+    def __post_init__(self):
+        # margin runs once per accepted integrator step: index the finite
+        # bounds here rather than on every call
+        lo_idx = np.flatnonzero(np.isfinite(self.lower))
+        hi_idx = np.flatnonzero(np.isfinite(self.upper))
+        object.__setattr__(self, "_lo_idx", lo_idx)
+        object.__setattr__(self, "_lo", np.asarray(self.lower)[lo_idx])
+        object.__setattr__(self, "_hi_idx", hi_idx)
+        object.__setattr__(self, "_hi", np.asarray(self.upper)[hi_idx])
+
     def margin(self, x: np.ndarray) -> float:
         """Signed distance-like margin; positive strictly inside."""
         m = np.inf
-        finite_lo = np.isfinite(self.lower)
-        finite_hi = np.isfinite(self.upper)
-        if finite_lo.any():
-            m = min(m, float(np.min(x[finite_lo] - self.lower[finite_lo])))
-        if finite_hi.any():
-            m = min(m, float(np.min(self.upper[finite_hi] - x[finite_hi])))
+        if len(self._lo_idx):
+            m = min(m, float((x[self._lo_idx] - self._lo).min()))
+        if len(self._hi_idx):
+            m = min(m, float((self._hi - x[self._hi_idx]).min()))
         if self.interior_fn is not None:
             m = min(m, float(self.interior_fn(x)))
         return m
@@ -54,11 +64,7 @@ class ChartDomain:
 
     @property
     def is_trivial(self) -> bool:
-        return (
-            self.interior_fn is None
-            and not np.isfinite(self.lower).any()
-            and not np.isfinite(self.upper).any()
-        )
+        return self.interior_fn is None and not len(self._lo_idx) and not len(self._hi_idx)
 
 
 class GeodesicOracle(Protocol):
@@ -159,17 +165,44 @@ def fd_metric_derivatives(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
     return dg
 
 
-def fd_christoffel(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-    g = np.asarray(model.metric(x), dtype=float)
+def _inverse(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     try:
-        ginv = np.linalg.inv(g)
+        return np.linalg.inv(g)
     except np.linalg.LinAlgError:
         raise DegenerateMetric(x, 0.0) from None
-    dg = fd_metric_derivatives(model, x)
-    # bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+
+
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """bracket[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from dg[l, i, j] = d_l g_ij."""
+    return dg.transpose(2, 0, 1) + dg.transpose(2, 1, 0) - dg
+
+
+def christoffel_from_metric(x: np.ndarray, g: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), dg[l, i, j] = d_l g_ij.
+
+    Raises DegenerateMetric when g(x) is singular.
+    """
+    return 0.5 * np.einsum("kl,lij->kij", _inverse(x, g), _bracket(dg))
+
+
+def christoffel_deriv_from_metric(x: np.ndarray, g: np.ndarray, dg: np.ndarray,
+                                  ddg: np.ndarray) -> np.ndarray:
+    """dGamma[m, k, i, j] = d_m Gamma^k_ij from ddg[m, l, i, j] = d_m d_l g_ij.
+
+    Differentiates g Gamma = B/2, with B the bracket above:
+    d_m Gamma = g^{-1} (d_m B / 2 - d_m g Gamma).
+    """
+    ginv = _inverse(x, g)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, _bracket(dg))
+    d_bracket = ddg.transpose(0, 3, 1, 2) + ddg.transpose(0, 3, 2, 1) - ddg
+    rhs = 0.5 * d_bracket - np.einsum("mlk,kij->mlij", dg, gamma)
+    return np.einsum("kl,mlij->mkij", ginv, rhs)
+
+
+def fd_christoffel(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
+    """Christoffel symbols from the metric, its derivatives by central differences."""
+    g = np.asarray(model.metric(x), dtype=float)
+    return christoffel_from_metric(x, g, fd_metric_derivatives(model, x))
 
 
 def christoffel_raw(model: ManifoldModel, x: np.ndarray) -> np.ndarray:

@@ -244,24 +244,89 @@ def _desitter_metric(n: int):
     return metric
 
 
-def _desitter2_christoffel(x: np.ndarray) -> np.ndarray:
-    tau = x[1]
-    g = np.zeros((2, 2, 2))
-    th = np.tanh(tau)
-    g[0, 0, 1] = th
-    g[0, 1, 0] = th
-    g[1, 0, 0] = np.cosh(tau) * np.sinh(tau)
-    return g
+# Christoffel symbols of the warped product -dtau^2 + cosh^2(tau) g_{S^{n-1}} in the
+# chart x = (theta_0..theta_{m-1}, tau), m = n - 1, with g_ii = cosh^2(tau) s_i,
+# s_0 = 1 and s_i = prod_{j<i} sin^2(theta_j).  The nonzero symbols are
+#   Gamma^tau_ii = cosh(tau) sinh(tau) s_i,   Gamma^i_{i tau} = tanh(tau),
+#   Gamma^k_ii = -(s_i/s_k) cot(theta_k),     Gamma^i_{ik} = cot(theta_k)   (k < i),
+# with s_i/s_k cot(theta_k) written as sin cos(theta_k) prod_{k<j<i} sin^2(theta_j)
+# so that it stays finite at the poles.  theta_{m-1} never enters the metric.
+
+def _desitter_christoffel(n: int):
+    m = n - 1
+    shape = (n, n, n)
+    ii_tau, i_tau_i, tau_ii = (0, 0, m), (0, m, 0), (m, 0, 0)      # i = 0
+
+    def christoffel(x: np.ndarray) -> np.ndarray:
+        tau = x[m]
+        g = np.zeros(shape)
+        th = np.tanh(tau)
+        cs = np.cosh(tau) * np.sinh(tau)
+        # i = 0: s_0 = 1 and no k < i
+        g[ii_tau] = g[i_tau_i] = th
+        g[tau_ii] = cs
+        if m > 1:
+            s = 1.0
+            gk = []             # Gamma^k_ii for k < i
+            cot = []            # cot(theta_k) for k < i
+            for i, a in enumerate(x[:m - 1].tolist(), start=1):
+                sin, cos = math.sin(a), math.cos(a)     # theta_{i-1}
+                sin2 = sin * sin
+                s *= sin2
+                gk = [v * sin2 for v in gk] + [-sin * cos]
+                cot.append(cos / sin)
+                g[i, i, m] = g[i, m, i] = th
+                g[m, i, i] = cs * s
+                for k in range(i):
+                    g[k, i, i] = gk[k]
+                    g[i, i, k] = g[i, k, i] = cot[k]
+        return g
+
+    return christoffel
 
 
-def _desitter2_christoffel_deriv(x: np.ndarray) -> np.ndarray:
-    tau = x[1]
-    d = np.zeros((2, 2, 2, 2))
-    sech2 = 1.0 / np.cosh(tau) ** 2
-    d[1, 0, 0, 1] = sech2
-    d[1, 0, 1, 0] = sech2
-    d[1, 1, 0, 0] = np.cosh(2.0 * tau)
-    return d
+def _desitter_christoffel_deriv(n: int):
+    m = n - 1
+    shape = (n, n, n, n)
+    ii_tau, i_tau_i, tau_ii = (m, 0, 0, m), (m, 0, m, 0), (m, m, 0, 0)     # d_tau, i = 0
+
+    def christoffel_deriv(x: np.ndarray) -> np.ndarray:
+        """d[l, k, i, j] = d Gamma^k_ij / d x_l, the entries above differentiated."""
+        tau = x[m]
+        d = np.zeros(shape)
+        sech2 = 1.0 / np.cosh(tau) ** 2
+        c2 = np.cosh(2.0 * tau)
+        d[ii_tau] = d[i_tau_i] = sech2
+        d[tau_ii] = c2
+        if m > 1:
+            cs = np.cosh(tau) * np.sinh(tau)
+            angles = x[:m - 1].tolist()
+            sin2 = [math.sin(a) ** 2 for a in angles]
+            dsin2 = [math.sin(2.0 * a) for a in angles]     # d sin^2 / d theta
+
+            def prod(lo: int, hi: int, skip: int = -1) -> float:
+                """Product of sin^2(theta_j) over lo <= j < hi, j != skip."""
+                p = 1.0
+                for j in range(lo, hi):
+                    if j != skip:
+                        p *= sin2[j]
+                return p
+
+            for i in range(1, m):
+                d[m, i, i, m] = d[m, i, m, i] = sech2
+                d[m, m, i, i] = c2 * prod(0, i)
+                for k in range(i):
+                    # Gamma^tau_ii = cosh sinh(tau) s_i
+                    d[k, m, i, i] = cs * dsin2[k] * prod(0, i, k)
+                    # Gamma^k_ii = -sin(2 theta_k)/2 prod_{k<j<i} sin^2(theta_j)
+                    d[k, k, i, i] = -math.cos(2.0 * angles[k]) * prod(k + 1, i)
+                    for l in range(k + 1, i):
+                        d[l, k, i, i] = -0.5 * dsin2[k] * dsin2[l] * prod(k + 1, i, l)
+                    # Gamma^i_ik = cot(theta_k)
+                    d[k, i, i, k] = d[k, i, k, i] = -1.0 / sin2[k]
+        return d
+
+    return christoffel_deriv
 
 
 def _desitter_embed(n: int):
@@ -318,16 +383,8 @@ def _desitter_chart(n: int):
 def _desitter(n: int = 2) -> ManifoldModel:
     if n < 2:
         raise UnknownModel(f"desitter({n})")
-    if n == 2:
-        lower = np.array([-np.inf, -np.inf])
-        upper = np.array([np.inf, np.inf])
-        christoffel = _desitter2_christoffel
-        christoffel_deriv = _desitter2_christoffel_deriv
-    else:
-        lower = np.concatenate([np.zeros(n - 2), [-np.inf, -np.inf]])
-        upper = np.concatenate([np.full(n - 2, np.pi), [np.inf, np.inf]])
-        christoffel = None
-        christoffel_deriv = None
+    lower = np.concatenate([np.zeros(n - 2), [-np.inf, -np.inf]])
+    upper = np.concatenate([np.full(n - 2, np.pi), [np.inf, np.inf]])
     metric, embed = _desitter_metric(n), _desitter_embed(n)
     embed_jac, chart = _desitter_embed_jac(n), _desitter_chart(n)
     return ManifoldModel(
@@ -336,8 +393,8 @@ def _desitter(n: int = 2) -> ManifoldModel:
         signature=(1,) * (n - 1) + (-1,),
         domain=ChartDomain(lower, upper),
         metric=metric,
-        christoffel=christoffel,
-        christoffel_deriv=christoffel_deriv,
+        christoffel=_desitter_christoffel(n),
+        christoffel_deriv=_desitter_christoffel_deriv(n),
         oracle=_QuadricOracle(metric, embed, embed_jac, chart),
         embedding=embed,
         embedding_jac=embed_jac,

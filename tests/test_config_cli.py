@@ -10,9 +10,10 @@ import pytest
 
 import geoconnect.cli as cli
 from geoconnect import (
-    ConfigError, ConnectConfig, christoffel_eval, metric_eval,
+    ConfigError, ConnectConfig, christoffel_eval, dsl, integrate_geodesic, metric_eval,
     model_from_config_text, model_registry,
 )
+from geoconnect.manifold import fd_christoffel
 from geoconnect.cli import main
 
 
@@ -57,6 +58,52 @@ def test_dsl_config_matches_builtin_metric():
                            atol=1e-12)
         assert np.allclose(christoffel_eval(model, x),
                            christoffel_eval(builtin, x), atol=1e-6)
+
+
+HALFPLANE_INI = (
+    "[manifold]\ntype = dsl\ndim = 2\n"
+    "g_1_1 = 1/x2^2\ng_2_2 = 1/x2^2\nlower = -inf, 1e-8\n"
+)
+
+
+def test_dsl_connection_is_exact():
+    """Symbolic metric derivatives give the builtin's Christoffels and their derivatives."""
+    model = model_from_config_text(HALFPLANE_INI)
+    builtin = model_registry("hyperbolic2")
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        x = np.array([rng.uniform(-2, 2), rng.uniform(0.3, 3.0)])
+        assert np.allclose(model.christoffel(x), builtin.christoffel(x),
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(model.christoffel_deriv(x), builtin.christoffel_deriv(x),
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_dsl_off_diagonal_connection_matches_fd():
+    model = model_from_config_text(
+        "[manifold]\ntype = dsl\ndim = 2\n"
+        "g_1_1 = 1+4*x1^2\ng_1_2 = 4*x1*x2\ng_2_2 = 1+4*x2^2\n")
+    builtin = model_registry("paraboloid")
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        x = rng.uniform(-1.5, 1.5, 2)
+        assert np.allclose(model.christoffel(x), fd_christoffel(builtin, x), atol=1e-7)
+        dgamma = np.empty((2, 2, 2, 2))
+        for l in range(2):
+            h = 1e-5
+            xp = x.copy(); xp[l] += h
+            xm = x.copy(); xm[l] -= h
+            dgamma[l] = (model.christoffel(xp) - model.christoffel(xm)) / (2 * h)
+        assert np.allclose(model.christoffel_deriv(x), dgamma, atol=1e-7)
+
+
+def test_dsl_fault_during_integration_is_typed():
+    model = model_from_config_text(
+        "[manifold]\ntype = dsl\ndim = 2\ng_1_1 = 1/x1\ng_2_2 = 1\n")
+    with pytest.raises(dsl.EvalError) as exc:
+        integrate_geodesic(model, (0.0, 0.0), (0.0, 1.0), t_max=1.0)
+    assert exc.value.message == "division by zero"
+    assert exc.value.x == (0.0, 0.0)
 
 
 def test_dsl_config_off_diagonal_symmetric():

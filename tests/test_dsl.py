@@ -142,6 +142,70 @@ def test_eval_errors():
         dsl.evaluate(dsl.parse("exp(10^6)", 1), ())
 
 
+@pytest.mark.parametrize("src,x,i,expected", DERIVATIVES)
+def test_derive_is_exact(src, x, i, expected):
+    e = dsl.parse(src, len(x))
+    got = dsl.evaluate(dsl.derive(e, i), x)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_derive_folds_symbolic_zero():
+    e = dsl.parse("x2^2 + 3*sin(x2) - exp(x3)/x2", 3)
+    assert dsl.derive(e, 1) == Num(0.0)
+    assert dsl.derive(dsl.parse("x1 - x1", 1), 1) == Num(0.0)
+    assert dsl.derive(dsl.parse("x1^2", 1), 1) == Bin("*", Num(2.0), Var(1))
+
+
+@pytest.mark.parametrize("src,x", [
+    ("tan(x1)^2", (0.3,)), ("sinh(x1)*cosh(x1)", (0.8,)), ("abs(x1)^3", (-1.2,)),
+    ("x1^x2", (1.7, 0.6)), ("2^x1", (1.3,)), ("sqrt(1 + x1^2)/x1", (0.9,)),
+    ("log(x1*x2)", (0.4, 2.5)), ("-(x1^-2)", (1.1,)),
+])
+def test_derive_matches_central_difference(src, x):
+    e = dsl.parse(src, 2)
+    for i in range(1, len(x) + 1):
+        h = 1e-6
+        xp = list(x); xp[i - 1] += h
+        xm = list(x); xm[i - 1] -= h
+        fd = (dsl.evaluate(e, xp) - dsl.evaluate(e, xm)) / (2 * h)
+        assert dsl.partial(e, x, i) == pytest.approx(fd, rel=1e-8, abs=1e-8)
+
+
+def test_derive_of_abs_faults_at_zero():
+    d = dsl.derive(dsl.parse("abs(x1)", 1), 1)
+    assert dsl.evaluate(d, (-2.0,)) == -1.0
+    with pytest.raises(EvalError) as exc:
+        dsl.evaluate(d, (0.0,))
+    assert exc.value.message == "division by zero"
+
+
+@pytest.mark.parametrize("src,x,expected", GOLDEN)
+def test_compile_expr_golden(src, x, expected):
+    f = dsl.compile_expr(dsl.parse(src, max(len(x), 3)))
+    assert f(x) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+# (source, x, message); each fault is raised by the root node
+EVAL_ERRORS = [
+    ("1/x1", (0.0,), "division by zero"),
+    ("log(x1)", (-1.0,), "log of non-positive value"),
+    ("log(0)", (), "log of non-positive value"),
+    ("sqrt(-1)", (), "sqrt of negative value"),
+    ("(-2)^0.5", (), "non-positive base with non-integer exponent"),
+    ("0^-1", (), "zero base with negative exponent"),
+    ("exp(10^6)", (), "domain fault in exp"),
+    ("10^400", (), "overflow"),
+]
+
+
+@pytest.mark.parametrize("src,x,message", EVAL_ERRORS)
+def test_compile_expr_errors(src, x, message):
+    e = dsl.parse(src, 1)
+    with pytest.raises(EvalError) as exc:
+        dsl.compile_expr(e)(x)
+    assert (exc.value.node, exc.value.x, exc.value.message) == (e, x, message)
+
+
 def test_var_index_respects_dimension():
     assert dsl.parse("x4", 4) == Var(4)
     with pytest.raises(ParseError):

@@ -1,15 +1,19 @@
 """Metric/connection evaluation, tangent-space helpers, auxiliary metric."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from geoconnect import (
     ChartDomain, DegenerateMetric, ManifoldModel, NotTimelike, OutOfChart,
     ScalarField, Tangent, VectorField, auxiliary_riemannian, causal_class,
-    christoffel_eval, inner, metric_eval, model_registry, orthonormal_frame,
+    christoffel_eval, inner, integrate_geodesic, integrate_variational, manifold,
+    metric_eval, model_from_config_text, model_registry, orthonormal_frame,
 )
 from geoconnect.manifold import (
     christoffel_deriv_raw, embedding_jacobian, embedding_point, fd_christoffel,
 )
+from geoconnect.models import BUILTIN_MODELS
 
 
 def _interior_point(model, rng):
@@ -159,6 +163,111 @@ def test_chart_domain_margin():
     assert not dom.contains(np.array([-0.1, 0.0]))
     assert not dom.contains(np.array([0.2, 0.0]), margin=0.3)
     assert ChartDomain.unbounded(3).is_trivial
+
+
+def _margin_reference(dom, x):
+    """ChartDomain.margin as first written: finite-bound masks taken on every call."""
+    m = np.inf
+    finite_lo = np.isfinite(dom.lower)
+    finite_hi = np.isfinite(dom.upper)
+    if finite_lo.any():
+        m = min(m, float(np.min(x[finite_lo] - dom.lower[finite_lo])))
+    if finite_hi.any():
+        m = min(m, float(np.min(dom.upper[finite_hi] - x[finite_hi])))
+    if dom.interior_fn is not None:
+        m = min(m, float(dom.interior_fn(x)))
+    return m
+
+
+def test_chart_domain_margin_matches_reference():
+    domains = [
+        ChartDomain(np.array([0.0, -1.0, 0.5]), np.array([np.pi, 2.0, 3.0])),
+        ChartDomain(np.array([-np.inf, 0.0, 0.0]), np.array([np.inf, np.inf, np.pi])),
+        ChartDomain.unbounded(3),
+        ChartDomain(np.full(3, -np.inf), np.full(3, np.inf),
+                    interior_fn=lambda x: float(x @ x) - 0.25),
+        ChartDomain(np.array([0.0, -np.inf, -2.0]), np.full(3, np.inf),
+                    interior_fn=lambda x: 1.0 - float(x[1] ** 2)),
+    ]
+    rng = np.random.default_rng(5)
+    points = [rng.uniform(-4, 4, 3) for _ in range(50)]
+    points += [np.array([np.nan, 0.5, 1.0]), np.array([np.inf, -np.inf, 0.0])]
+    for dom in domains:
+        for x in points:
+            want = _margin_reference(dom, x)
+            got = dom.margin(x)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (dom, x)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_desitter_connection_matches_fd(n):
+    model = model_registry("desitter", n=n)
+    bare = dataclasses.replace(model, christoffel=None, christoffel_deriv=None)
+    rng = np.random.default_rng(50 + n)
+    for _ in range(10):
+        x = np.concatenate([rng.uniform(0.3, np.pi - 0.3, n - 2),
+                            rng.uniform(-3.0, 3.0, 1), rng.uniform(-1.0, 1.0, 1)])
+        assert np.allclose(model.christoffel(x), fd_christoffel(bare, x), atol=1e-8)
+        dgamma = np.empty((n, n, n, n))
+        for l in range(n):
+            h = 1e-5
+            xp = x.copy(); xp[l] += h
+            xm = x.copy(); xm[l] -= h
+            dgamma[l] = (model.christoffel(xp) - model.christoffel(xm)) / (2 * h)
+        assert np.allclose(model.christoffel_deriv(x), dgamma, atol=1e-7)
+
+
+def test_desitter2_connection_is_bitwise_closed_form():
+    model = model_registry("desitter", n=2)
+    for x in ([0.3, -0.7], [-2.0, 0.0], [1.0, 1.9]):
+        tau = np.asarray(x)[1]
+        th, cs = np.tanh(tau), np.cosh(tau) * np.sinh(tau)
+        sech2, c2 = 1.0 / np.cosh(tau) ** 2, np.cosh(2.0 * tau)
+        gamma = np.zeros((2, 2, 2))
+        gamma[0, 0, 1] = gamma[0, 1, 0] = th
+        gamma[1, 0, 0] = cs
+        dgamma = np.zeros((2, 2, 2, 2))
+        dgamma[1, 0, 0, 1] = dgamma[1, 0, 1, 0] = sech2
+        dgamma[1, 1, 0, 0] = c2
+        assert np.array_equal(model.christoffel(np.asarray(x)), gamma)
+        assert np.array_equal(model.christoffel_deriv(np.asarray(x)), dgamma)
+
+
+GUARDED_MODELS = [
+    (lambda: model_registry("euclidean"), (0.1, 0.2, 0.3)),
+    (lambda: model_registry("minkowski"), (0.1, 0.2)),
+    (lambda: model_registry("sphere2"), (1.2, 0.3)),
+    (lambda: model_registry("hyperbolic2"), (0.0, 1.0)),
+    (lambda: model_registry("desitter", n=2), (0.3, -0.2)),
+    (lambda: model_registry("desitter", n=3), (1.2, 0.3, 0.1)),
+    (lambda: model_registry("desitter", n=4), (1.2, 1.4, 0.3, 0.1)),
+    (lambda: model_registry("clifton_pohl"), (1.0, 0.5)),
+    (lambda: model_from_config_text(
+        "[manifold]\ntype = dsl\ndim = 2\ng_1_1 = 1/x2^2\ng_2_2 = 1/x2^2\n"
+        "lower = -inf, 0\n"), (0.0, 1.0)),
+    (lambda: model_from_config_text(
+        "[manifold]\ntype = dsl\ndim = 2\n"
+        "g_1_1 = 1+4*x1^2\ng_1_2 = 4*x1*x2\ng_2_2 = 1+4*x2^2\n"), (0.2, -0.1)),
+]
+
+
+def test_only_the_paraboloid_finite_differences(monkeypatch):
+    """Every builtin but the paraboloid, and every DSL model, has an exact connection."""
+    calls = []
+    original = manifold.fd_christoffel
+    monkeypatch.setattr(manifold, "fd_christoffel",
+                        lambda *a: calls.append(1) or original(*a))
+    builtins = {name for name in BUILTIN_MODELS if name != "paraboloid"}
+    assert builtins <= {build().name.split("(")[0] for build, _ in GUARDED_MODELS}
+    for build, p in GUARDED_MODELS:
+        model = build()
+        assert model.christoffel is not None and model.christoffel_deriv is not None
+        v = np.full(model.dim, 0.3)
+        integrate_geodesic(model, p, v, t_max=0.5)
+        integrate_variational(model, p, v, t_max=0.5)
+        assert not calls, model.name
+    integrate_geodesic(model_registry("paraboloid"), (0.2, -0.1), (0.3, 0.3), t_max=0.1)
+    assert calls
 
 
 def test_embedding_jacobian_matches_fd():
