@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainEscape, LinearizationFailure, NoConvergence, StepSizeUnderflow
+from .errors import DomainEscape, LinearizationFailure, NoConvergence, OutOfChart, StepSizeUnderflow
 from .geodesic import IntegratorConfig, Termination, integrate_geodesic
 from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
@@ -314,7 +314,7 @@ def _ray_is_regular(model: ManifoldModel, frame: DifferentialFrame,
         try:
             var = integrate_variational(model, frame.base.base_array, v, t_max=1.0,
                                         cfg=cfg.integrator)
-        except (LinearizationFailure, StepSizeUnderflow):
+        except StepSizeUnderflow:
             return False
     if var.termination is not Termination.REACHED_TMAX:
         return False
@@ -333,9 +333,15 @@ def _ray_is_regular(model: ManifoldModel, frame: DifferentialFrame,
 
 
 def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> LiftOutcome:
-    """Find v with exp_p(v) = q by path lifting; typed failure otherwise."""
+    """Find v with exp_p(v) = q by path lifting; typed failure otherwise.
+
+    OutOfChart if p is outside the chart or q is not finite."""
     cfg = cfg or ConnectConfig()
     p = np.asarray(p, dtype=float)
+    if not model.domain.contains(p):
+        raise OutOfChart(p)
+    if not np.all(np.isfinite(q)):
+        raise OutOfChart(q, "target point not finite")
     # periodic chart coordinates: lift to the representative nearest p, else
     # the target path may force the lift around a chart seam with no
     # continuous preimage

@@ -3,16 +3,17 @@
 The integrator is the embedded Dormand-Prince 5(4) pair with Shampine's
 quartic continuous extension (Hairer, Norsett & Wanner, *Solving Ordinary
 Differential Equations I*, II.4-II.6), driven step by step; the dense output
-is kept per accepted step.  Termination is typed: reaching the horizon,
-leaving the chart (event-located by Brent's root finder on the dense
-output), or state blow-up in finite parameter.
+is kept per accepted step.  Termination is typed: reaching the horizon, or
+the first zero of a monitor of the state -- leaving the chart, blow-up in
+finite parameter, or (on a variational integration) a conjugate point --
+located by Brent's root finder on the step's interpolant.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -180,13 +181,16 @@ class Termination(Enum):
     REACHED_TMAX = "ReachedTmax"
     CHART_EXIT = "ChartExit"
     BLOW_UP = "BlowUp"
+    CONJUGATE_POINT = "ConjugatePoint"
+
+
+Monitor = Callable[[float, np.ndarray], float]   # (t, state) -> margin, zero ends a path
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
-    t_max: float = 1.0
     max_steps: int = 10**6
     blowup_norm: float = 1e8
     prefer_oracle: bool = False
@@ -291,8 +295,7 @@ def _integrate(
     rtol: float,
     atol: float,
     max_steps: int,
-    margin_fn: Optional[Callable[[np.ndarray], float]] = None,
-    blowup_fn: Optional[Callable[[np.ndarray], float]] = None,
+    monitors: Sequence[tuple[Monitor, Termination]] = (),
 ) -> tuple[np.ndarray, np.ndarray, DenseSolution, Termination, float, int]:
     """Dormand-Prince 5(4) from t = 0 to t_end, watching the monitors.
 
@@ -301,9 +304,10 @@ def _integrate(
     is below 1; the next step is scaled by 0.9 * err^(-1/5), limited to
     [0.2, 10] and to at most 1 right after a rejection.  A step below
     10 ulp(t), or more than max_steps accepted steps, raises
-    StepSizeUnderflow.  When a monitor (chart margin, blow-up margin) is
-    non-positive after a step, the path ends at its first zero on that
-    step's interpolant.  rtol is raised to at least 100 machine epsilons.
+    StepSizeUnderflow.  When a monitor's fn(t, y) is non-positive after a
+    step, the path ends with its termination at fn's first zero on that
+    step's interpolant (Brent); the earliest zero wins, the earlier-listed
+    monitor on a tie.  rtol is raised to at least 100 machine epsilons.
     A negative t_end is integrated forward in s = -t, which takes the same
     steps as stepping backward in t; t_end = 0 gives the one-node path.
     Returns (ts, ys, sol, termination, term_time, rejected trial steps).
@@ -322,9 +326,6 @@ def _integrate(
         rhs = lambda s, z: -forward(-s, z)
     t_end = abs(t_end)
     rtol = max(rtol, _RTOL_FLOOR)
-    monitors = [(fn, kind) for fn, kind in ((margin_fn, Termination.CHART_EXIT),
-                                            (blowup_fn, Termination.BLOW_UP))
-                if fn is not None]
     f = rhs(0.0, y)
     h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
     accepted = rejected = 0
@@ -365,8 +366,8 @@ def _integrate(
         segments.append(segment)
         hit = None
         for fn, kind in monitors:
-            if fn(y_new) <= 0.0:
-                g = lambda s: fn(segment(s))
+            if fn(sign * t_new, y_new) <= 0.0:
+                g = lambda s: fn(sign * s, segment(s))
                 if g(t) <= 0.0:
                     t_star = t
                 else:
@@ -403,12 +404,12 @@ def geodesic_rhs(model: ManifoldModel) -> Callable:
     return rhs
 
 
-def chart_margin_fn(model: ManifoldModel) -> Optional[Callable[[np.ndarray], float]]:
-    """Margin monitor on the position part of the state; None for full-R^n charts."""
+def chart_exit_monitors(model: ManifoldModel) -> list[tuple[Monitor, Termination]]:
+    """Chart-margin monitor on the position part of the state; none for full-R^n charts."""
     if model.domain.is_trivial:
-        return None
+        return []
     n = model.dim
-    return lambda y: model.domain.margin(y[:n])
+    return [(lambda t, y: model.domain.margin(y[:n]), Termination.CHART_EXIT)]
 
 
 def integrate_geodesic(
@@ -416,10 +417,10 @@ def integrate_geodesic(
     p0,
     v0,
     cfg: IntegratorConfig | None = None,
-    t_max: float | None = None,
+    t_max: float = 1.0,
 ) -> GeodesicPath:
     cfg = cfg or IntegratorConfig()
-    t_end = cfg.t_max if t_max is None else float(t_max)
+    t_end = float(t_max)
     p0 = np.asarray(p0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if not np.all(np.isfinite(v0)):
@@ -435,8 +436,8 @@ def integrate_geodesic(
     blow = cfg.blowup_norm
     ts, ys, sol, term, t_term, rejected = _integrate(
         geodesic_rhs(model), y0, t_end, cfg.rtol, cfg.atol, cfg.max_steps,
-        margin_fn=chart_margin_fn(model),
-        blowup_fn=lambda y: blow - float(np.max(np.abs(y))),
+        [*chart_exit_monitors(model),
+         (lambda t, y: blow - float(np.max(np.abs(y))), Termination.BLOW_UP)],
     )
     return GeodesicPath(model, ts, ys, term, t_term, sol, rejected)
 

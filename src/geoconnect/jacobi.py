@@ -3,7 +3,9 @@
 The n columns of d(exp_p)_v are end values of variational solutions seeded
 with (dx, dv)(0) = (0, e_i) along the base geodesic; along a ray t -> t*u
 the same solution gives d(exp_p)_{t u} = J(t)/t, so one integration covers
-the whole ray when scanning for conjugate points.
+the whole ray when scanning for conjugate points.  The scan watches
+det(J(t)/t) as a terminal monitor of that integration, beside chart exit and
+blow-up, so it stops at the first conjugate point.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure, OutOfChart
 from .geodesic import (
-    DenseSolution, IntegratorConfig, Termination, _brent, _integrate, _StepCounts,
-    chart_margin_fn,
+    DenseSolution, IntegratorConfig, Monitor, Termination, _integrate, _StepCounts,
+    chart_exit_monitors,
 )
 from .manifold import (
     ManifoldModel, Tangent, christoffel_deriv_raw, christoffel_raw,
@@ -72,17 +74,11 @@ class VariationalPath(_StepCounts):
         y = self.sol(t)
         return y[:n], y[n:2 * n], y[2 * n:2 * n + n * n].reshape(n, n)
 
-    def jacobi_matrix(self, t: float) -> np.ndarray:
-        return self.split(t)[2]
-
     def dexp_at(self, t: float) -> np.ndarray:
         """d(exp_p)_{t v0} along the ray of the initial velocity."""
         if t == 0.0:
             return np.eye(self.dim)
-        return self.jacobi_matrix(t) / t
-
-    def ray_det(self, t: float) -> float:
-        return float(np.linalg.det(self.dexp_at(t)))
+        return self.split(t)[2] / t
 
 
 def _variational_rhs(model: ManifoldModel):
@@ -104,13 +100,29 @@ def _variational_rhs(model: ManifoldModel):
     return rhs
 
 
+def _conjugate_monitor(n: int, singular_tol: float) -> Monitor:
+    """det(J(t)/t) - singular_tol; 1 - singular_tol for t <= 0, since J(t)/t -> I
+    at t = 0 and a conjugate point counts only in (0, t_max]."""
+    def monitor(t: float, y: np.ndarray) -> float:
+        if t <= 0.0:
+            return 1.0 - singular_tol
+        J = y[2 * n:2 * n + n * n].reshape(n, n)
+        return float(np.linalg.det(J / t)) - singular_tol
+
+    return monitor
+
+
 def integrate_variational(
     model: ManifoldModel,
     p,
     v,
     t_max: float = 1.0,
     cfg: IntegratorConfig | None = None,
+    *,
+    singular_tol: float | None = None,
 ) -> VariationalPath:
+    """Base geodesic and Jacobi matrix J along the ray of v.  With ``singular_tol``
+    it ends with CONJUGATE_POINT where det(J(t)/t) first falls to it in (0, t_max]."""
     cfg = cfg or IntegratorConfig()
     n = model.dim
     p = np.asarray(p, dtype=float)
@@ -120,16 +132,16 @@ def integrate_variational(
     y0 = np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
     base_blow = cfg.blowup_norm
 
-    def blow_fn(y):
+    def blow_fn(t, y):
         m = base_blow - float(np.max(np.abs(y[:2 * n])))
         var = float(np.max(np.abs(y[2 * n:])))
         return min(m, VARIATIONAL_BOUND - var)
 
+    monitors = [*chart_exit_monitors(model), (blow_fn, Termination.BLOW_UP)]
+    if singular_tol is not None:
+        monitors.append((_conjugate_monitor(n, singular_tol), Termination.CONJUGATE_POINT))
     ts, ys, sol, term, t_term, rejected = _integrate(
-        _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps,
-        margin_fn=chart_margin_fn(model),
-        blowup_fn=blow_fn,
-    )
+        _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps, monitors)
     return VariationalPath(model, ts, sol, term, t_term, rejected)
 
 
@@ -204,34 +216,6 @@ def normalize_direction(model: ManifoldModel, p, u) -> np.ndarray:
     return u / nrm
 
 
-def _first_zero(var: VariationalPath, t_hi: float, singular_tol: float,
-                coarse_step: float) -> Optional[float]:
-    """First t in (0, t_hi] where the ray determinant crosses zero or dips below tol."""
-    ts = np.arange(coarse_step, t_hi + 0.5 * coarse_step, coarse_step)
-    ts = ts[ts <= t_hi]
-    if len(ts) == 0:
-        return None
-    dets = np.array([var.ray_det(t) for t in ts])
-    prev_t, prev_d = ts[0] * 1e-3, var.ray_det(ts[0] * 1e-3)
-    for t, d in zip(ts, dets):
-        if np.sign(d) != np.sign(prev_d) and prev_d != 0.0:
-            return _brent(var.ray_det, prev_t, t, xtol=1e-8)
-        if abs(d) < singular_tol:
-            # tangential dip: refine to 1e-6 by local scan for the first sub-tol t
-            lo, hi = prev_t, t
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if abs(var.ray_det(mid)) < singular_tol:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-7:
-                    break
-            return float(hi)
-        prev_t, prev_d = t, d
-    return None
-
-
 def _first_conjugate_scan(
     model: ManifoldModel,
     p,
@@ -240,13 +224,11 @@ def _first_conjugate_scan(
     cfg: IntegratorConfig | None,
     singular_tol: float,
 ) -> tuple[Optional[float], VariationalPath]:
-    u = np.asarray(u, dtype=float)
-    var = integrate_variational(model, p, u, t_max=t_max, cfg=cfg)
-    t_hi = var.term_time if var.termination is not Termination.REACHED_TMAX else t_max
-    coarse = min(2e-2, t_hi / 60.0) if t_hi > 0 else 1e-2
-    t_star = _first_zero(var, t_hi, singular_tol, coarse)
-    if t_star is not None:
-        return t_star, var
+    """(t* or None, the variational path); the path ends at a found t*."""
+    var = integrate_variational(model, p, u, t_max=t_max, cfg=cfg,
+                                singular_tol=singular_tol)
+    if var.termination is Termination.CONJUGATE_POINT:
+        return var.term_time, var
     if var.termination is not Termination.REACHED_TMAX:
         raise DomainEscape(var.termination, var.term_time)
     return None, var
@@ -260,9 +242,13 @@ def first_conjugate_time(
     cfg: IntegratorConfig | None = None,
     singular_tol: float = SINGULAR_TOL,
 ) -> Optional[float]:
-    """Smallest t* in (0, t_max] with d(exp_p)_{t* u} singular, or None.
+    """Smallest t* in (0, t_max] with det d(exp_p)_{t* u} <= singular_tol, or None.
 
-    Raises DomainEscape if the ray leaves the domain before any singularity.
+    One variational integration watches det(J(t)/t) - singular_tol at each
+    step end and stops at its first zero on that step's interpolant.  A sign
+    change is always found, a dip only if it reaches a step end, so an even
+    multiplicity, where det keeps its sign, can be missed.  Raises
+    DomainEscape if the ray leaves the domain before any singularity.
     """
     return _first_conjugate_scan(model, p, u, t_max, cfg, singular_tol)[0]
 
@@ -348,8 +334,6 @@ def _locus_rays(model: ManifoldModel, p, grid: list[dict], t_max: float,
             t_star, var = _first_conjugate_scan(model, p, u, t_max, cfg, SINGULAR_TOL)
         except DomainEscape as esc:
             row.update(t_star=None, point=None, status=f"escape:{esc.termination.value}")
-        except LinearizationFailure:
-            row.update(t_star=None, point=None, status="escape:LinearizationFailure")
         else:
             if t_star is None:
                 row.update(t_star=None, point=None, status="none")

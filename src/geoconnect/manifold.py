@@ -60,7 +60,8 @@ class ChartDomain:
         return m
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        return self.margin(np.asarray(x, dtype=float)) > margin
+        x = np.asarray(x, dtype=float)   # a non-finite coordinate is never inside
+        return bool(np.all(np.isfinite(x))) and self.margin(x) > margin
 
     @property
     def is_trivial(self) -> bool:

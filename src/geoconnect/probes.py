@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainEscape, LinearizationFailure, StepSizeUnderflow
+from .errors import DomainEscape, StepSizeUnderflow
 from .geodesic import IntegratorConfig, Termination, exp, integrate_geodesic
 from .jacobi import integrate_variational
 from .manifold import ManifoldModel, ScalarField, Tangent, embedding_point, orthonormal_frame
@@ -397,7 +397,7 @@ def gauss_lemma_check(model: ManifoldModel, p, r_values: Sequence[float],
         wp = -np.sin(s) * E[:, 0] + np.cos(s) * E[:, 1]
         try:
             var = integrate_variational(model, p, w, t_max=r_max, cfg=cfg)
-        except (LinearizationFailure, StepSizeUnderflow):
+        except StepSizeUnderflow:
             rows.append({"direction": j, "status": "integration_failed"})
             continue
         for r in r_values:

@@ -208,6 +208,14 @@ def test_cli_connect_failure_exit_code(capsys):
     jsonschema.validate(report, _schema("connect_report.schema.json"))
 
 
+def test_cli_connect_non_finite_target(capsys):
+    rc = main(["connect", "--model", "sphere2", "--from", "1,0.3", "--to", "nan,1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "Connected" not in captured.out
+    assert "not finite" in captured.err
+
+
 def test_cli_connect_rtol_keeps_step_cap(monkeypatch, capsys):
     """--rtol changes the tolerances only, not the connector's other defaults."""
     seen = {}

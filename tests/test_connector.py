@@ -11,6 +11,7 @@ from geoconnect import (
 from geoconnect.connect import (
     CORRECTOR_TOL, NEWTON_ITERATIONS, SV_FLOOR, _bumped_path, _newton, _segment_path,
 )
+from geoconnect.errors import OutOfChart
 
 
 def test_flat_connect_is_exact():
@@ -30,6 +31,16 @@ def test_minkowski_connect_all_causal_classes():
         out = connect(m, p, q)
         assert out.connected
         assert np.allclose(out.v, q, atol=1e-9)
+
+
+@pytest.mark.parametrize("p,q", [
+    ((np.nan, 0.3), (1.0, 0.5)),
+    ((1.0, 0.3), (np.nan, 1.0)),
+    ((1.0, 0.3), (1.2, np.inf)),
+])
+def test_non_finite_endpoint_is_out_of_chart(p, q):
+    with pytest.raises(OutOfChart):
+        connect(model_registry("sphere2"), np.array(p), np.array(q))
 
 
 def test_identical_endpoints():

@@ -293,8 +293,7 @@ def test_import_pulls_in_no_scipy():
 
 # -- parity with scipy's RK45 and brentq, when scipy is installed --------------
 
-def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, margin_fn=None,
-                     blowup_fn=None):
+def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=()):
     """The event-watching loop driven by scipy's RK45, as the reference."""
     from scipy.integrate import RK45, OdeSolution
     from scipy.optimize import brentq
@@ -309,11 +308,10 @@ def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, margin_fn=None,
         dense = solver.dense_output()
         interpolants.append(dense)
         hit = None
-        for fn, kind in ((margin_fn, Termination.CHART_EXIT),
-                         (blowup_fn, Termination.BLOW_UP)):
-            if fn is None or fn(solver.y) > 0.0:
+        for fn, kind in monitors:
+            if fn(solver.t, solver.y) > 0.0:
                 continue
-            f = lambda s: fn(dense(s))
+            f = lambda s: fn(s, dense(s))
             lo, hi = dense.t_min, dense.t_max
             t_star = lo if f(lo) <= 0.0 else brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
             if hit is None or t_star < hit[0]:
@@ -364,6 +362,26 @@ def test_integrator_matches_scipy_rk45(monkeypatch, name, p, v, t_max, variation
     np.testing.assert_array_equal(ours.sol(samples), ref.sol(samples))
     for t in [*samples, *ref.ts]:
         np.testing.assert_array_equal(ours.sol(t), ref.sol(t))
+
+
+def test_conjugate_scan_matches_scipy_rk45(monkeypatch):
+    """The conjugate monitor ends the scan where RK45 and brentq end it, bit for bit."""
+    pytest.importorskip("scipy")
+    s = model_registry("sphere2")
+    p = np.array([1.4, 0.7])
+    u = jacobi.normalize_direction(s, p, np.array([0.3, 1.0]))
+
+    def scan():
+        return jacobi._first_conjugate_scan(s, p, u, 4.0, None, jacobi.SINGULAR_TOL)
+
+    t_star, ours = scan()
+    monkeypatch.setattr(jacobi, "_integrate", _scipy_integrate)
+    ref_star, ref = scan()
+    assert ours.termination is ref.termination is Termination.CONJUGATE_POINT
+    assert t_star == ours.term_time == ref.term_time == ref_star
+    np.testing.assert_array_equal(ours.ts, ref.ts)
+    assert (ours.steps, ours.rejected, ours.rhs_evals) == (ref.steps, ref.rejected,
+                                                           ref.rhs_evals)
 
 
 _BRACKETS = [

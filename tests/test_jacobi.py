@@ -7,7 +7,11 @@ from geoconnect import (
     dexp_matrix, exp, first_conjugate_time, integrate_variational,
     model_registry, normalize_direction,
 )
-from geoconnect.jacobi import component_of_point, direction_grid
+from geoconnect.geodesic import _integrate
+from geoconnect.jacobi import (
+    SINGULAR_TOL, _conjugate_monitor, _first_conjugate_scan, component_of_point,
+    direction_grid,
+)
 from geoconnect.manifold import embedding_point
 
 
@@ -80,6 +84,43 @@ def test_sphere_first_conjugate_time_is_pi():
         u = normalize_direction(s, p, np.array([np.cos(ang), np.sin(ang)]))
         t = first_conjugate_time(s, p, u, t_max=4.0)
         assert t == pytest.approx(np.pi, abs=1e-6)
+
+
+@pytest.mark.parametrize("t_max", [4.0, 0.004])
+def test_fast_ray_stops_at_its_first_conjugate_point(t_max):
+    """At speed 1000 conjugate points lie pi/1000 apart; the first one is found."""
+    s = model_registry("sphere2")
+    p = np.array([1.4, 0.7])
+    u = 1000.0 * normalize_direction(s, p, np.array([0.3, 1.0]))
+    t_star, var = _first_conjugate_scan(s, p, u, t_max, None, SINGULAR_TOL)
+    assert t_star == pytest.approx(np.pi / 1000.0, abs=1e-8)
+    assert var.termination is Termination.CONJUGATE_POINT
+    assert var.term_time == t_star == var.ts[-1]
+
+
+def test_negative_horizon_has_no_conjugate_point():
+    """(0, t_max] is empty for t_max < 0, though the ray meets one at t = -pi."""
+    s = model_registry("sphere2")
+    p = np.array([1.4, 0.7])
+    u = normalize_direction(s, p, np.array([0.3, 1.0]))
+    assert first_conjugate_time(s, p, u, t_max=-4.0) is None
+
+
+def test_conjugate_point_inside_the_first_step():
+    """J(0) = 0 does not end the path at t = 0; a zero inside the first step is located.
+
+    J(t) = t - t^3/c is a cubic, which both embedded orders integrate
+    exactly, so the first step is accepted whatever its size and spans
+    det(J/t) = 1 - t^2/c = SINGULAR_TOL near t = sqrt(c).
+    """
+    c = 0.01
+    rhs = lambda t, y: np.array([0.0, 0.0, y[3], -6.0 * t / c])
+    monitor = (_conjugate_monitor(1, SINGULAR_TOL), Termination.CONJUGATE_POINT)
+    ts, _, _, term, t_star, _ = _integrate(rhs, np.array([0.0, 0.0, 0.0, 1.0]), 1.0,
+                                           1.0, 1.0, 100, [monitor])
+    assert term is Termination.CONJUGATE_POINT
+    assert len(ts) == 2 and ts[-1] == t_star
+    assert t_star == pytest.approx(np.sqrt(c * (1.0 - SINGULAR_TOL)), abs=1e-12)
 
 
 def test_hyperbolic_has_no_conjugate_points():

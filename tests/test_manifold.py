@@ -165,6 +165,12 @@ def test_chart_domain_margin():
     assert ChartDomain.unbounded(3).is_trivial
 
 
+@pytest.mark.parametrize("x", [(np.nan, 0.3), (1.0, np.nan), (1.0, np.inf), (-np.inf, 0.0)])
+def test_chart_domain_rejects_non_finite_points(x):
+    assert not model_registry("sphere2").domain.contains(np.array(x))
+    assert not ChartDomain.unbounded(2).contains(np.array(x))
+
+
 def _margin_reference(dom, x):
     """ChartDomain.margin as first written: finite-bound masks taken on every call."""
     m = np.inf
