@@ -49,6 +49,20 @@ def _vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}") from None
 
 
+def _finite(text: str) -> float:
+    x = float(text)   # argparse reports a ValueError as an invalid value
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return x
+
+
+def _tolerance(text: str) -> float:
+    x = _finite(text)
+    if not x > 0.0:   # atol is set to rtol / 100, which must stay positive
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return x
+
+
 def _fmt(values) -> str:
     return ",".join("%.17g" % float(v) for v in values)
 
@@ -75,8 +89,8 @@ def _resolve_model(args) -> ManifoldModel:
     return model_registry(args.model, **kwargs)
 
 
-def _integrator(args) -> IntegratorConfig:
-    cfg = IntegratorConfig()
+def _integrator(args, cfg: IntegratorConfig | None = None) -> IntegratorConfig:
+    cfg = cfg or IntegratorConfig()
     if getattr(args, "rtol", None) is not None:
         cfg = cfg.with_(rtol=args.rtol, atol=args.rtol * 1e-2)
     return cfg
@@ -86,7 +100,7 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--model", help="builtin model name")
     p.add_argument("--dim", type=int, help="dimension for parameterizable models")
     p.add_argument("--config", help="INI model configuration file")
-    p.add_argument("--rtol", type=float, help="integrator relative tolerance")
+    p.add_argument("--rtol", type=_tolerance, help="integrator relative tolerance")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled subcommands")
 
 
@@ -135,9 +149,7 @@ def cmd_exp(args) -> int:
 def cmd_connect(args) -> int:
     model = _resolve_model(args)
     cfg = ConnectConfig(path_kind=args.path)
-    if args.rtol is not None:
-        cfg = replace(cfg, integrator=cfg.integrator.with_(rtol=args.rtol,
-                                                             atol=args.rtol * 1e-2))
+    cfg = replace(cfg, integrator=_integrator(args, cfg.integrator))
     outcome = connect(model, getattr(args, "from"), args.to, cfg)
     report = connect_report(model, outcome, getattr(args, "from"), args.to)
     if args.json:
@@ -275,7 +287,7 @@ def build_parser() -> _Parser:
     _add_model_args(p)
     p.add_argument("--from", dest="point", type=_vector, required=True)
     p.add_argument("--vel", type=_vector, required=True)
-    p.add_argument("--tmax", type=float, default=1.0)
+    p.add_argument("--tmax", type=_finite, default=1.0)
     p.add_argument("--samples", type=int, help="resample dense output at N times")
     p.set_defaults(fn=cmd_shoot)
 
@@ -297,7 +309,7 @@ def build_parser() -> _Parser:
     _add_model_args(p)
     p.add_argument("--point", type=_vector, required=True)
     p.add_argument("--count", type=int, default=64)
-    p.add_argument("--tmax", type=float, default=float(2.0 * np.pi))
+    p.add_argument("--tmax", type=_finite, default=float(2.0 * np.pi))
     p.add_argument("--refine", type=int, default=1)
     p.set_defaults(fn=cmd_conj_locus)
 
@@ -309,12 +321,12 @@ def build_parser() -> _Parser:
     p.add_argument("--point", type=_vector, default=None)
     p.add_argument("--family",
                    choices=["radial", "spiral", "hyperboloid", "polyline"])
-    p.add_argument("--gnorm", type=float, default=float(np.pi))
+    p.add_argument("--gnorm", type=_finite, default=float(np.pi))
     p.add_argument("--waypoints", help="semicolon-separated tangent waypoints")
     p.add_argument("--box", help="K as 'lo1,lo2,..;hi1,hi2,..'")
     p.add_argument("--f", help="scalar field expression in x1..xn")
     p.add_argument("--count", type=int, default=32)
-    p.add_argument("--tmax", type=float, default=10.0)
+    p.add_argument("--tmax", type=_finite, default=10.0)
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("convex-check", help="convexity certificate for --f")

@@ -15,10 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure, NoConvergence, OutOfChart, StepSizeUnderflow
-from .geodesic import IntegratorConfig, Termination, integrate_geodesic
+from .geodesic import IntegratorConfig, integrate_geodesic
 from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
-    dexp_matrix, integrate_variational,
+    dexp_matrix,
 )
 from .manifold import ManifoldModel, VectorField, auxiliary_riemannian, causal_class, orthonormal_frame
 
@@ -302,25 +302,12 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     return LiftOutcome("Connected", v, trace, {})
 
 
-def _ray_is_regular(model: ManifoldModel, frame: DifferentialFrame,
-                    cfg: ConnectConfig) -> bool:
+def _ray_is_regular(frame: DifferentialFrame) -> bool:
     """Check min singular value of dexp along the straight ray to the frame's v,
-    reusing the frame's own variational integration when it has one."""
-    v = frame.base.vec_array
-    if not np.any(v):
-        return True
-    var = frame.path
-    if var is None:
-        try:
-            var = integrate_variational(model, frame.base.base_array, v, t_max=1.0,
-                                        cfg=cfg.integrator)
-        except StepSizeUnderflow:
-            return False
-    if var.termination is not Termination.REACHED_TMAX:
-        return False
+    read from the frame's own ray."""
     prev_det = 1.0
     for t in np.linspace(1.0 / RAY_SAMPLES, 1.0, RAY_SAMPLES):
-        J = var.dexp_at(t)
+        J = frame.ray(t)
         det = float(np.linalg.det(J))
         # a determinant sign flip between samples means a singularity was
         # crossed even if no sample landed inside the (narrow) sv dip
@@ -350,7 +337,7 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
         return LiftOutcome("Connected", np.zeros_like(p), [], {})
     # fast path: q inside the normal neighborhood of p
     flag, v, frame, _, _ = _log_newton(model, p, q, cfg)
-    if flag == "ok" and _ray_is_regular(model, frame, cfg):
+    if flag == "ok" and _ray_is_regular(frame):
         return LiftOutcome("Connected", v, [{
             "t": float(np.linalg.norm(q - p)),
             "v": v.tolist(),

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainEscape, NoOracle, OutOfChart, StepSizeUnderflow
-from .manifold import ManifoldModel, christoffel_raw
+from .errors import DomainEscape, NoOracle, StepSizeUnderflow
+from .manifold import ManifoldModel, check_tangent, christoffel_raw
 
 __all__ = [
     "IntegratorConfig", "Termination", "GeodesicPath", "DenseSolution",
@@ -195,6 +195,13 @@ class IntegratorConfig:
     blowup_norm: float = 1e8
     prefer_oracle: bool = False
 
+    def __post_init__(self):
+        # NaN tolerances, or atol = 0 on a state with exact zeros, give NaN steps
+        if not (math.isfinite(self.rtol) and self.rtol >= 0.0):
+            raise ValueError(f"rtol must be finite and non-negative, got {self.rtol}")
+        if not (math.isfinite(self.atol) and self.atol > 0.0):
+            raise ValueError(f"atol must be finite and positive, got {self.atol}")
+
     def with_(self, **kw) -> "IntegratorConfig":
         return replace(self, **kw)
 
@@ -303,9 +310,9 @@ def _integrate(
     when the RMS of its error estimate over atol + max(|y|, |y_new|) * rtol
     is below 1; the next step is scaled by 0.9 * err^(-1/5), limited to
     [0.2, 10] and to at most 1 right after a rejection.  A step below
-    10 ulp(t), or more than max_steps accepted steps, raises
-    StepSizeUnderflow.  When a monitor's fn(t, y) is non-positive after a
-    step, the path ends with its termination at fn's first zero on that
+    10 ulp(t) or NaN, or more than max_steps accepted steps, raises
+    StepSizeUnderflow; a non-finite y0 or t_end raises ValueError.  When a
+    monitor's fn(t, y) is non-positive after a step, the path ends with its termination at fn's first zero on that
     step's interpolant (Brent); the earliest zero wins, the earlier-listed
     monitor on a tie.  rtol is raised to at least 100 machine epsilons.
     A negative t_end is integrated forward in s = -t, which takes the same
@@ -315,6 +322,8 @@ def _integrate(
     y = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError(f"initial state not finite: {y}")
+    if not math.isfinite(t_end):
+        raise ValueError(f"integration horizon not finite: {t_end}")
     if t_end == 0:
         ts0 = np.zeros(1)
         constant = _Segment(0.0, 1.0, y, np.zeros((y.size, 4)))
@@ -343,7 +352,7 @@ def _integrate(
         # overflow inside a trial step surfaces as a typed failure, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                if h_abs < min_step:
+                if not h_abs >= min_step:   # also a NaN step
                     raise StepSizeUnderflow(sign * t)
                 t_new = min(t + h_abs, t_end)
                 h = t_new - t
@@ -421,12 +430,7 @@ def integrate_geodesic(
 ) -> GeodesicPath:
     cfg = cfg or IntegratorConfig()
     t_end = float(t_max)
-    p0 = np.asarray(p0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if not np.all(np.isfinite(v0)):
-        raise ValueError(f"initial velocity not finite: {v0}")
-    if not model.domain.contains(p0):
-        raise OutOfChart(p0)
+    p0, v0 = check_tangent(model, p0, v0)
     y0 = np.concatenate([p0, v0])
     if t_end == 0.0 or not np.any(v0):
         # stationary or zero-horizon: trivial path
@@ -445,8 +449,7 @@ def integrate_geodesic(
 def exp(model: ManifoldModel, p, v, cfg: IntegratorConfig | None = None) -> np.ndarray:
     """Exponential map: time-1 endpoint of the geodesic with initial data (p, v)."""
     cfg = cfg or IntegratorConfig()
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    p, v = check_tangent(model, p, v)
     if not np.any(v):
         return p.copy()
     if cfg.prefer_oracle and model.oracle is not None:
@@ -461,15 +464,13 @@ def oracle_geodesic(model: ManifoldModel, p, v, t: float) -> np.ndarray:
     """Closed-form geodesic point in chart coordinates; NoOracle if unavailable."""
     if model.oracle is None:
         raise NoOracle(model.name)
-    return np.asarray(model.oracle.point(np.asarray(p, float), np.asarray(v, float), t))
+    return np.asarray(model.oracle.point(*check_tangent(model, p, v), t))
 
 
 def oracle_geodesic_embedding(model: ManifoldModel, p, v, t: float) -> np.ndarray:
     if model.oracle is None:
         raise NoOracle(model.name)
-    return np.asarray(
-        model.oracle.point_embedding(np.asarray(p, float), np.asarray(v, float), t)
-    )
+    return np.asarray(model.oracle.point_embedding(*check_tangent(model, p, v), t))
 
 
 def energy(model: ManifoldModel, x: np.ndarray, v: np.ndarray) -> float:

@@ -10,18 +10,19 @@ blow-up, so it stops at the first conjugate point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainEscape, LinearizationFailure, OutOfChart
+from .errors import DomainEscape, LinearizationFailure
 from .geodesic import (
     DenseSolution, IntegratorConfig, Monitor, Termination, _integrate, _StepCounts,
     chart_exit_monitors,
 )
 from .manifold import (
-    ManifoldModel, Tangent, christoffel_deriv_raw, christoffel_raw,
-    embedding_point, orthonormal_frame,
+    ManifoldModel, central_difference, check_tangent, christoffel_deriv_raw,
+    christoffel_raw, embedding_point, orthonormal_frame,
 )
 
 __all__ = [
@@ -35,6 +36,10 @@ __all__ = [
 SINGULAR_TOL = 1e-9
 VARIATIONAL_BOUND = 1e12
 CLUSTER_RADIUS = 1e-3
+DIRECTION_OFFSET = 0.5      # surface direction grid: angle offset, in grid spacings
+BOOST_RANGE = 3.0           # indefinite direction grid: largest |boost parameter|
+COMPLEMENT_GRID_N = 24      # complement sample: cells per chart axis
+COMPLEMENT_PAD = 2.0        # complement sample: half-width around p, in units of pi
 
 _LOCUS_CAVEAT = (
     "sampled evidence only: a finite direction grid cannot distinguish the "
@@ -45,13 +50,12 @@ _LOCUS_CAVEAT = (
 
 @dataclass
 class DifferentialFrame:
-    base: Tangent
     matrix: np.ndarray
     det: float
     min_singular_value: float
-    endpoint: np.ndarray          # exp_p(v), from the same integration
+    endpoint: np.ndarray          # exp_p(v), from the same computation
     end_velocity: np.ndarray
-    path: Optional[VariationalPath] = None  # the integration, if any, behind the frame
+    ray: Callable[[float], np.ndarray]   # t -> d(exp_p)_{tv} on (0, 1]; ray(1.0) is matrix
 
 
 @dataclass
@@ -125,10 +129,7 @@ def integrate_variational(
     it ends with CONJUGATE_POINT where det(J(t)/t) first falls to it in (0, t_max]."""
     cfg = cfg or IntegratorConfig()
     n = model.dim
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not model.domain.contains(p):
-        raise OutOfChart(p)
+    p, v = check_tangent(model, p, v)
     y0 = np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
     base_blow = cfg.blowup_norm
 
@@ -157,56 +158,55 @@ def _wrap_delta(model: ManifoldModel, delta: np.ndarray) -> np.ndarray:
     return _wrap_near(model, delta, np.zeros_like(delta))
 
 
-def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray,
-                  base: Tangent) -> DifferentialFrame:
-    """Differential frame from the closed-form geodesic map, by central fd.
-
-    Finite differences are taken modulo any periodic chart coordinate, since
-    the closed-form chart map may wrap across the seam.  The end velocity is
-    J v, because gamma'(1) = d(exp_p)_v(v).
-    """
-    n = model.dim
-    x1 = np.asarray(model.oracle.point(p, v, 1.0), dtype=float)
-    J = np.empty((n, n))
-    for i in range(n):
-        h = 1e-6 * max(1.0, abs(v[i]))
-        dv = np.zeros(n); dv[i] = h
-        diff = (np.asarray(model.oracle.point(p, v + dv, 1.0))
-                - np.asarray(model.oracle.point(p, v - dv, 1.0)))
-        J[:, i] = _wrap_delta(model, diff) / (2.0 * h)
-    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(J))):
-        raise LinearizationFailure(1.0, float("inf"))
+def _frame(J: np.ndarray, x1: np.ndarray, v1: np.ndarray,
+           ray: Callable[[float], np.ndarray]) -> DifferentialFrame:
     svals = np.linalg.svd(J, compute_uv=False)
-    return DifferentialFrame(base, J, float(np.linalg.det(J)), float(svals[-1]), x1, J @ v)
+    return DifferentialFrame(J, float(np.linalg.det(J)), float(svals[-1]), x1, v1, ray)
+
+
+def _oracle_dexp(model: ManifoldModel, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d(exp_p)_w from the closed-form geodesic map by central differences, taken
+    modulo any periodic chart coordinate: the chart map may wrap across the seam."""
+    J = central_difference(lambda x: model.oracle.point(p, x, 1.0), w, 1e-6,
+                           partial(_wrap_delta, model)).T
+    if not np.isfinite(J).all():
+        raise LinearizationFailure(1.0, float("inf"))
+    return np.ascontiguousarray(J)
+
+
+def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray) -> DifferentialFrame:
+    """Differential frame from the closed-form geodesic map.  The end velocity
+    is J v, because gamma'(1) = d(exp_p)_v(v)."""
+    p, v = p.copy(), v.copy()     # the ray outlives the caller's arrays
+    x1 = np.asarray(model.oracle.point(p, v, 1.0), dtype=float)
+    J = _oracle_dexp(model, p, v)
+    if not np.isfinite(x1).all():
+        raise LinearizationFailure(1.0, float("inf"))
+    return _frame(J, x1, J @ v, lambda t: _oracle_dexp(model, p, t * v))
 
 
 def dexp_matrix(
     model: ManifoldModel, p, v, cfg: IntegratorConfig | None = None
 ) -> DifferentialFrame:
-    """d(exp_p)_v in chart bases: columns are time-1 Jacobi fields J_i, J_i'(0)=e_i."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """d(exp_p)_v in chart bases: columns are time-1 Jacobi fields J_i, J_i'(0)=e_i.
+    The ray is the identity at v = 0, else the variational J(t)/t or the oracle's."""
+    p, v = check_tangent(model, p, v)
     n = model.dim
-    base = Tangent.of(p, v)
     if not np.any(v):
-        eye = np.eye(n)
-        return DifferentialFrame(base, eye, 1.0, 1.0, p.copy(), v.copy())
+        return DifferentialFrame(np.eye(n), 1.0, 1.0, p.copy(), v.copy(),
+                                 lambda t: np.eye(n))
     if cfg is not None and cfg.prefer_oracle and model.oracle is not None:
-        return _oracle_frame(model, p, v, base)
+        return _oracle_frame(model, p, v)
     var = integrate_variational(model, p, v, t_max=1.0, cfg=cfg)
     if var.termination is not Termination.REACHED_TMAX:
         raise DomainEscape(var.termination, var.term_time)
     x1, v1, J = var.split(1.0)
-    svals = np.linalg.svd(J, compute_uv=False)
-    return DifferentialFrame(
-        base, J, float(np.linalg.det(J)), float(svals[-1]), x1, v1, var
-    )
+    return _frame(J, x1, v1, var.dexp_at)
 
 
 def normalize_direction(model: ManifoldModel, p, u) -> np.ndarray:
     """Unit g-norm for non-null directions; flat-chart unit norm for null ones."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
+    p, u = check_tangent(model, p, u)
     q = float(u @ np.asarray(model.metric(p), dtype=float) @ u)
     if abs(q) > 1e-12 * float(u @ u):
         return u / np.sqrt(abs(q))
@@ -253,13 +253,12 @@ def first_conjugate_time(
     return _first_conjugate_scan(model, p, u, t_max, cfg, singular_tol)[0]
 
 
-def direction_grid(model: ManifoldModel, p, count: int, offset: float = 0.5,
-                   boost_range: float = 3.0) -> list[dict]:
+def direction_grid(model: ManifoldModel, p, count: int) -> list[dict]:
     """Direction sample at p, stratified by causal class on indefinite models.
 
     Returns rows {'u': components, 'causal_class': str}.  For surfaces the
-    grid is an even angle/boost sweep (offset avoids axis-aligned rays);
-    in higher dimension directions are drawn from a seeded generator.
+    grid is an even angle/boost sweep (DIRECTION_OFFSET avoids axis-aligned
+    rays); in higher dimension directions are drawn from a seeded generator.
     """
     p = np.asarray(p, dtype=float)
     E, signs = orthonormal_frame(model, p)
@@ -267,7 +266,7 @@ def direction_grid(model: ManifoldModel, p, count: int, offset: float = 0.5,
     rows: list[dict] = []
     if model.is_riemannian:
         if n == 2:
-            angles = (np.arange(count) + offset) * 2.0 * np.pi / count
+            angles = (np.arange(count) + DIRECTION_OFFSET) * 2.0 * np.pi / count
             for a in angles:
                 u = np.cos(a) * E[:, 0] + np.sin(a) * E[:, 1]
                 rows.append({"u": u, "causal_class": "spacelike"})
@@ -284,7 +283,7 @@ def direction_grid(model: ManifoldModel, p, count: int, offset: float = 0.5,
     es = E[:, space_cols[0]]
     et = E[:, time_cols[0]]
     per = max(count // 4, 1)
-    chis = np.linspace(-boost_range, boost_range, per)
+    chis = np.linspace(-BOOST_RANGE, BOOST_RANGE, per)
     for chi in chis:
         for sgn in (1.0, -1.0):
             rows.append({
@@ -345,8 +344,7 @@ def _locus_rays(model: ManifoldModel, p, grid: list[dict], t_max: float,
     return rows, pts
 
 
-def complement_grid(model: ManifoldModel, p, cluster_pts: list[np.ndarray],
-                    grid_n: int = 24, pad: float = 2.0):
+def complement_grid(model: ManifoldModel, p, cluster_pts: list[np.ndarray]):
     """Chart sample box minus locus balls, flood-filled into labeled components.
 
     Returns (xs, ys, labels) with labels -1 on blocked cells and component
@@ -355,8 +353,9 @@ def complement_grid(model: ManifoldModel, p, cluster_pts: list[np.ndarray],
     if model.dim != 2:
         return None
     p = np.asarray(p, dtype=float)
-    lo = np.maximum(p - pad * np.pi, model.domain.lower + 1e-3)
-    hi = np.minimum(p + pad * np.pi, model.domain.upper - 1e-3)
+    grid_n = COMPLEMENT_GRID_N
+    lo = np.maximum(p - COMPLEMENT_PAD * np.pi, model.domain.lower + 1e-3)
+    hi = np.minimum(p + COMPLEMENT_PAD * np.pi, model.domain.upper - 1e-3)
     xs = np.linspace(lo[0], hi[0], grid_n)
     ys = np.linspace(lo[1], hi[1], grid_n)
     cell = max(xs[1] - xs[0], ys[1] - ys[0])

@@ -20,7 +20,7 @@ __all__ = [
     "metric_eval", "christoffel_eval", "inner", "causal_class",
     "christoffel_from_metric", "christoffel_deriv_from_metric",
     "auxiliary_riemannian", "embedding_point", "embedding_jacobian",
-    "orthonormal_frame", "DEGENERACY_TOL",
+    "orthonormal_frame", "central_difference", "check_tangent", "DEGENERACY_TOL",
 ]
 
 DEGENERACY_TOL = 1e-12
@@ -61,7 +61,7 @@ class ChartDomain:
 
     def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)   # a non-finite coordinate is never inside
-        return bool(np.all(np.isfinite(x))) and self.margin(x) > margin
+        return bool(np.isfinite(x).all()) and self.margin(x) > margin
 
     @property
     def is_trivial(self) -> bool:
@@ -88,7 +88,6 @@ class ManifoldModel:
     oracle: Optional[GeodesicOracle] = None
     embedding: Optional[Callable[[np.ndarray], np.ndarray]] = None
     embedding_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    chart_from_embedding: Optional[Callable[[np.ndarray], np.ndarray]] = None
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -138,6 +137,15 @@ def _check_chart(model: ManifoldModel, x: np.ndarray, margin: float = 0.0) -> np
     return x
 
 
+def check_tangent(model: ManifoldModel, p, v) -> tuple[np.ndarray, np.ndarray]:
+    """(p, v) as float arrays.  Raises OutOfChart unless p is a finite point
+    inside the chart, and ValueError unless v is finite."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"tangent vector not finite: {v}")
+    return _check_chart(model, p), v
+
+
 def metric_eval(model: ManifoldModel, x) -> np.ndarray:
     """Validated metric matrix g(x): symmetric, nondegenerate, signature-true."""
     x = _check_chart(model, x)
@@ -154,16 +162,18 @@ def metric_eval(model: ManifoldModel, x) -> np.ndarray:
     return g
 
 
-def fd_metric_derivatives(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """dg[l, i, j] = d g_ij / d x_l by central differences."""
-    n = model.dim
-    dg = np.empty((n, n, n))
-    for l in range(n):
-        h = 1e-5 * max(1.0, abs(x[l]))
+def central_difference(f: Callable, x: np.ndarray, rel_step: float,
+                       delta: Optional[Callable] = None) -> np.ndarray:
+    """out[l] = d f / d x_l by central differences, step rel_step * max(1, |x_l|);
+    ``delta`` maps each difference f(x + h e_l) - f(x - h e_l) before the division."""
+    out = []
+    for l in range(len(x)):
+        h = rel_step * max(1.0, abs(x[l]))
         xp = x.copy(); xp[l] += h
         xm = x.copy(); xm[l] -= h
-        dg[l] = (np.asarray(model.metric(xp)) - np.asarray(model.metric(xm))) / (2.0 * h)
-    return dg
+        diff = np.asarray(f(xp)) - np.asarray(f(xm))
+        out.append((diff if delta is None else delta(diff)) / (2.0 * h))
+    return np.array(out)
 
 
 def _inverse(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -203,7 +213,7 @@ def christoffel_deriv_from_metric(x: np.ndarray, g: np.ndarray, dg: np.ndarray,
 def fd_christoffel(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
     """Christoffel symbols from the metric, its derivatives by central differences."""
     g = np.asarray(model.metric(x), dtype=float)
-    return christoffel_from_metric(x, g, fd_metric_derivatives(model, x))
+    return christoffel_from_metric(x, g, central_difference(model.metric, x, 1e-5))
 
 
 def christoffel_raw(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
@@ -224,16 +234,9 @@ def christoffel_deriv_raw(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
     """dGamma[l, k, i, j] = d Gamma^k_ij / d x_l (analytic or central difference)."""
     if model.christoffel_deriv is not None:
         return np.asarray(model.christoffel_deriv(x), dtype=float)
-    n = model.dim
     # Wider step when Gamma itself is finite-differenced: keeps fd noise in check.
-    base_h = 1e-6 if model.christoffel is not None else 1e-4
-    out = np.empty((n, n, n, n))
-    for l in range(n):
-        h = base_h * max(1.0, abs(x[l]))
-        xp = x.copy(); xp[l] += h
-        xm = x.copy(); xm[l] -= h
-        out[l] = (christoffel_raw(model, xp) - christoffel_raw(model, xm)) / (2.0 * h)
-    return out
+    return central_difference(lambda y: christoffel_raw(model, y), x,
+                              1e-6 if model.christoffel is not None else 1e-4)
 
 
 def inner(model: ManifoldModel, x, u, w) -> float:
@@ -279,7 +282,6 @@ def auxiliary_riemannian(model: ManifoldModel, V: VectorField) -> ManifoldModel:
         domain=model.domain,
         metric=h_metric,
         embedding=model.embedding,
-        chart_from_embedding=model.chart_from_embedding,
         metadata={"auxiliary_of": model.name},
     )
 
@@ -299,13 +301,8 @@ def embedding_jacobian(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
         return np.eye(model.dim)
     if model.embedding_jac is not None:
         return np.asarray(model.embedding_jac(x), dtype=float)
-    cols = []
-    for i in range(model.dim):
-        h = 1e-6 * max(1.0, abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        cols.append((embedding_point(model, xp) - embedding_point(model, xm)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+    return np.ascontiguousarray(
+        central_difference(lambda y: embedding_point(model, y), x, 1e-6).T)
 
 
 def orthonormal_frame(model: ManifoldModel, x) -> tuple[np.ndarray, np.ndarray]:

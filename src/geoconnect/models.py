@@ -152,7 +152,6 @@ def _sphere2() -> ManifoldModel:
                               _sphere_chart),
         embedding=_sphere_embed,
         embedding_jac=_sphere_embed_jac,
-        chart_from_embedding=_sphere_chart,
         metadata={"periodic": {1: 2.0 * np.pi}},
     )
 
@@ -398,7 +397,6 @@ def _desitter(n: int = 2) -> ManifoldModel:
         oracle=_QuadricOracle(metric, embed, embed_jac, chart),
         embedding=embed,
         embedding_jac=embed_jac,
-        chart_from_embedding=chart,
         metadata={"periodic": {n - 2: 2.0 * np.pi}},
     )
 

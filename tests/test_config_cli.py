@@ -1,6 +1,9 @@
 """INI model configs, CLI subcommands, determinism, and report schemas."""
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -232,6 +235,25 @@ def test_cli_connect_rtol_keeps_step_cap(monkeypatch, capsys):
     expected = replace(ConnectConfig(path_kind="aux"),
                        integrator=ConnectConfig().integrator.with_(rtol=1e-7, atol=1e-7 * 1e-2))
     assert seen["cfg"] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--model", "sphere2", "--from", "1,0.3", "--vel", "0.1,0.1", "--rtol", "nan"],
+    ["connect", "--model", "sphere2", "--from", "1,0.3", "--to", "1.2,0.4", "--rtol", "nan"],
+    ["connect", "--model", "sphere2", "--from", "1,0.3", "--to", "1.2,0.4", "--rtol", "0"],
+    ["conj-locus", "--model", "sphere2", "--point", "1,0.3", "--tmax", "nan"],
+], ids=["shoot-rtol-nan", "connect-rtol-nan", "connect-rtol-0", "conj-locus-tmax-nan"])
+def test_cli_bad_tolerance_or_horizon_is_a_usage_error(argv):
+    """Such flags once left the integrator spinning or ran a NaN horizon.  A
+    fresh interpreter with a timeout keeps a regression from stalling the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys; from geoconnect.cli import main; sys.exit(main(sys.argv[1:]))"
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 1
+    assert "error: argument" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_cli_conj_locus_csv(capsys):

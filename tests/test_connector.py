@@ -235,12 +235,26 @@ def test_fast_path_integrates_each_ray_once(monkeypatch, name, p, q):
     """The ray check reuses the integration of the converged Newton frame."""
     model = model_registry(name)
     jac, con = "geoconnect.jacobi", "geoconnect.connect"
-    integrations = _count_calls(monkeypatch, [jac, con], "integrate_variational")
+    integrations = _count_calls(monkeypatch, [jac], "integrate_variational")
     frames = _count_calls(monkeypatch, [jac, con], "dexp_matrix")
     out = connect(model, np.array(p), np.array(q))
     assert out.witness == {"method": "local_log"}
     assert len(frames) > 0
     assert len(integrations) == len(frames)
+
+
+def test_desitter_oracle_fast_path_integrates_nothing(monkeypatch):
+    """With closed-form frames the ray check reads the oracle frame's own ray:
+    no module of the package runs a variational integration."""
+    d = model_registry("desitter", n=2)
+    cfg = ConnectConfig(integrator=IntegratorConfig(
+        rtol=1e-9, atol=1e-11, max_steps=4000, prefer_oracle=True))
+    holders = [name for name, mod in list(sys.modules.items())
+               if name.split(".")[0] == "geoconnect" and hasattr(mod, "integrate_variational")]
+    integrations = _count_calls(monkeypatch, holders, "integrate_variational")
+    out = connect(d, np.array([0.2, -0.3]), np.array([0.9, 0.1]), cfg)
+    assert out.connected and out.witness == {"method": "local_log"}
+    assert integrations == []
 
 
 def test_lift_checks_its_last_frame_without_a_new_dexp(monkeypatch):

@@ -83,6 +83,89 @@ def test_out_of_chart_start_rejected():
         integrate_geodesic(s, np.array([-0.2, 0.0]), np.array([1.0, 0.0]))
 
 
+_ORACLE = IntegratorConfig(prefer_oracle=True)
+
+
+@pytest.mark.parametrize("p, v", [
+    ((np.nan, 0.3), (0.1, 0.1)),
+    ((4.0, 0.3), (0.1, 0.1)),
+    ((4.0, 0.3), (0.0, 0.0)),
+])
+@pytest.mark.parametrize("cfg", [None, _ORACLE], ids=["numeric", "oracle"])
+def test_exp_rejects_a_start_outside_the_chart(p, v, cfg):
+    """Closed-form and zero-velocity exp check p as the integrator does."""
+    with pytest.raises(OutOfChart):
+        exp(model_registry("sphere2"), p, v, cfg)
+
+
+@pytest.mark.parametrize("accessor", [oracle_geodesic, oracle_geodesic_embedding])
+def test_oracle_accessors_reject_a_start_outside_the_chart(accessor):
+    with pytest.raises(OutOfChart):
+        accessor(model_registry("sphere2"), (4.0, 0.3), (0.1, 0.1), 1.0)
+
+
+def test_non_finite_velocity_rejected_on_every_route():
+    s = model_registry("sphere2")
+    p, v = (1.0, 0.3), (np.nan, 0.1)
+    for call in (lambda: exp(s, p, v), lambda: exp(s, p, v, _ORACLE),
+                 lambda: oracle_geodesic(s, p, v, 1.0),
+                 lambda: integrate_variational(s, p, v),
+                 lambda: jacobi.dexp_matrix(s, p, v, _ORACLE)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("kw", [
+    {"rtol": math.nan}, {"rtol": math.inf}, {"rtol": -1e-8},
+    {"atol": 0.0}, {"atol": math.nan}, {"atol": -1e-12},
+])
+def test_integrator_config_rejects_bad_tolerances(kw):
+    with pytest.raises(ValueError):
+        IntegratorConfig(**kw)
+
+
+def _run_python(code: str, timeout: float = 60.0) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports this geoconnect."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoconnect.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=timeout)
+    return out.stdout.strip()
+
+
+_HANG_PRELUDE = """\
+import math
+import numpy as np
+from geoconnect import (IntegratorConfig, dexp_matrix, first_conjugate_time,
+                        integrate_geodesic, model_registry)
+from geoconnect.geodesic import _integrate, geodesic_rhs
+E = model_registry("euclidean", n=2)
+S = model_registry("sphere2")
+Y0 = np.array([0.0, 0.0, 1.0, 0.5])
+np.seterr(all="ignore")
+try:
+    {call}
+except Exception as err:
+    print(type(err).__name__)
+"""
+
+
+@pytest.mark.parametrize("call, error", [
+    ("IntegratorConfig(rtol=math.nan)", "ValueError"),
+    ("dexp_matrix(E, (0, 0), (1, 0.5), IntegratorConfig(atol=0.0))", "ValueError"),
+    ("_integrate(geodesic_rhs(E), Y0, 1.0, math.nan, 1e-12, 10**6)", "StepSizeUnderflow"),
+    ("_integrate(geodesic_rhs(E), Y0, 1.0, 1e-10, 0.0, 10**6)", "StepSizeUnderflow"),
+    ("integrate_geodesic(S, (1.0, 0.3), (0.1, 0.2), t_max=math.nan)", "ValueError"),
+    ("first_conjugate_time(S, (1.0, 0.3), (0.1, 0.2), t_max=math.nan)", "ValueError"),
+])
+def test_bad_integrator_inputs_fail_fast(call, error):
+    """Inputs that once made the step loop spin (a NaN step size) or ran to
+    max_steps (a NaN horizon) raise at once.  A fresh interpreter with a
+    timeout keeps a regression from stalling the suite."""
+    assert _run_python(_HANG_PRELUDE.format(call=call), timeout=30.0) == error
+
+
 def test_max_steps_raises_underflow():
     s = model_registry("sphere2")
     cfg = IntegratorConfig(max_steps=3)
@@ -283,12 +366,7 @@ def test_brent_finds_cos_root():
 def test_import_pulls_in_no_scipy():
     code = ("import geoconnect, sys; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(geoconnect.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code) == "[]"
 
 
 # -- parity with scipy's RK45 and brentq, when scipy is installed --------------

@@ -9,9 +9,10 @@ from geoconnect import (
 )
 from geoconnect.geodesic import _integrate
 from geoconnect.jacobi import (
-    SINGULAR_TOL, _conjugate_monitor, _first_conjugate_scan, component_of_point,
-    direction_grid,
+    SINGULAR_TOL, _conjugate_monitor, _first_conjugate_scan, _wrap_delta,
+    component_of_point, direction_grid,
 )
+from geoconnect.errors import OutOfChart
 from geoconnect.manifold import embedding_point
 
 
@@ -64,6 +65,67 @@ def test_oracle_frame_matches_variational_frame(name, n, p):
         assert np.allclose(oracle.matrix, var.matrix, rtol=0.0, atol=1e-6)
         assert np.allclose(oracle.endpoint, var.endpoint, rtol=0.0, atol=1e-9)
         assert np.allclose(oracle.end_velocity, var.end_velocity, rtol=0.0, atol=1e-8)
+        for t in (0.25, 0.5, 1.0):
+            assert np.allclose(oracle.ray(t), var.ray(t), rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("cfg, v", [
+    (None, np.array([0.4, -0.7])),
+    (IntegratorConfig(prefer_oracle=True), np.array([0.4, -0.7])),
+    (None, np.zeros(2)),
+])
+def test_frame_ray_ends_at_its_matrix(cfg, v):
+    """ray(1.0) is the frame's own matrix, bit for bit, for all three frame kinds."""
+    frame = dexp_matrix(model_registry("desitter"), np.array([0.2, -0.3]), v, cfg)
+    assert np.array_equal(frame.ray(1.0), frame.matrix)
+
+
+def _oracle_dexp_loop(model, p, v):
+    """The oracle differential's own central-difference loop, before the stencil was shared."""
+    n = model.dim
+    J = np.empty((n, n))
+    for i in range(n):
+        h = 1e-6 * max(1.0, abs(v[i]))
+        dv = np.zeros(n); dv[i] = h
+        diff = (np.asarray(model.oracle.point(p, v + dv, 1.0))
+                - np.asarray(model.oracle.point(p, v - dv, 1.0)))
+        J[:, i] = _wrap_delta(model, diff) / (2.0 * h)
+    return J
+
+
+@pytest.mark.parametrize("name, p, v", [
+    ("sphere2", [1.2, 3.1], [0.3, 0.4]),          # the image crosses the phi seam
+    ("desitter", [0.2, -0.3], [-0.9, 1.7]),
+])
+def test_oracle_differential_matches_its_loop_bitwise(name, p, v):
+    model = model_registry(name)
+    p, v = np.array(p), np.array(v)
+    frame = dexp_matrix(model, p, v, IntegratorConfig(prefer_oracle=True))
+    assert np.array_equal(frame.matrix, _oracle_dexp_loop(model, p, v))
+    assert np.array_equal(frame.ray(0.5), _oracle_dexp_loop(model, p, 0.5 * v))
+
+
+def test_oracle_frame_ray_keeps_its_own_tangent():
+    """The ray holds copies of p and v: reusing the caller's arrays changes nothing."""
+    d = model_registry("desitter")
+    p = np.array([0.2, -0.3])
+    v = np.array([0.4, -0.7])
+    frame = dexp_matrix(d, p, v, IntegratorConfig(prefer_oracle=True))
+    before = frame.ray(0.5)
+    p[:] = 1.0
+    v[:] = 0.0
+    assert np.array_equal(frame.ray(0.5), before)
+
+
+def test_oracle_frame_rejects_points_outside_the_chart():
+    with pytest.raises(OutOfChart):
+        dexp_matrix(model_registry("sphere2"), [4.0, 0.3], [0.1, 0.1],
+                    IntegratorConfig(prefer_oracle=True))
+
+
+def test_normalize_direction_rejects_non_finite_directions():
+    with pytest.raises(ValueError):
+        normalize_direction(model_registry("sphere2"), [1.0, 0.3], [np.nan, 1.0])
 
 
 def test_ray_scaling_identity():

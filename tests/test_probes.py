@@ -9,7 +9,15 @@ from geoconnect import (
     model_registry, polyline_family, pseudoconvexity_probe, radial_ray_family,
     spiral_family, weak_properness_probe,
 )
+from geoconnect.errors import OutOfChart
 from geoconnect.probes import SAMPLED_EVIDENCE
+
+
+def test_weak_properness_rejects_a_base_point_outside_the_chart():
+    """The probe's closed-form exp checks p as the integrator does."""
+    s = model_registry("sphere2")
+    with pytest.raises(OutOfChart):
+        weak_properness_probe(s, [4.0, 0.3], radial_ray_family(s, [1.0, 0.3], count=2))
 
 
 def test_sphere_weak_properness_consistent():
