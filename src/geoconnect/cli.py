@@ -49,6 +49,18 @@ def _vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}") from None
 
 
+def _model_vector(model: ManifoldModel, text: str, flag: str) -> np.ndarray:
+    """``text`` as a finite vector of model.dim components, for the flags whose
+    length depends on the model; ArgumentTypeError, a usage error, otherwise."""
+    try:
+        x = _vector(text)
+        if len(x) != model.dim or not np.isfinite(x).all():
+            raise argparse.ArgumentTypeError(f"{text!r} is not {model.dim} finite numbers")
+    except argparse.ArgumentTypeError as err:
+        raise argparse.ArgumentTypeError(f"argument {flag}: {err}") from None
+    return x
+
+
 def _finite(text: str) -> float:
     x = float(text)   # argparse reports a ValueError as an invalid value
     if not np.isfinite(x):
@@ -120,8 +132,8 @@ def cmd_models(args) -> int:
 
 def cmd_shoot(args) -> int:
     model = _resolve_model(args)
-    path = integrate_geodesic(model, args.point, args.vel, _integrator(args),
-                              t_max=args.tmax)
+    vel = _model_vector(model, args.vel, "--vel")
+    path = integrate_geodesic(model, args.point, vel, _integrator(args), t_max=args.tmax)
     n = model.dim
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
     print(",".join(header))
@@ -141,7 +153,7 @@ def cmd_shoot(args) -> int:
 def cmd_exp(args) -> int:
     model = _resolve_model(args)
     from .geodesic import exp as exp_map
-    x = exp_map(model, args.point, args.vel, _integrator(args))
+    x = exp_map(model, args.point, _model_vector(model, args.vel, "--vel"), _integrator(args))
     print(_fmt(x))
     return EXIT_OK
 
@@ -193,7 +205,8 @@ def _probe_family(model, args, norm_cap: float):
     if name == "hyperboloid":
         return hyperboloid_sweep_family(model, p, gnorm=args.gnorm, norm_cap=norm_cap)
     if name == "polyline":
-        pts = [_vector(t) for t in (args.waypoints or "").split(";") if t]
+        pts = [_model_vector(model, t, "--waypoints")
+               for t in (args.waypoints or "").split(";") if t]
         if not pts:
             raise ConfigError("polyline family needs --waypoints p1;p2;...")
         return polyline_family(pts)
@@ -229,7 +242,10 @@ def cmd_probe(args) -> int:
     elif kind == "pseudoconvex":
         if args.box is None:
             raise ConfigError("pseudoconvex probe needs --box lo1,..;hi1,..")
-        lo, hi = (_vector(t) for t in args.box.split(";"))
+        parts = args.box.split(";")
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(f"argument --box: {args.box!r} is not 'lo;hi'")
+        lo, hi = (_model_vector(model, t, "--box") for t in parts)
         out = pseudoconvexity_probe(model, (lo, hi), sample_count=args.count,
                                     horizon=args.tmax, seed=args.seed,
                                     cfg=_integrator(args))
@@ -286,7 +302,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("shoot", help="integrate a geodesic, CSV output")
     _add_model_args(p)
     p.add_argument("--from", dest="point", type=_vector, required=True)
-    p.add_argument("--vel", type=_vector, required=True)
+    p.add_argument("--vel", required=True)
     p.add_argument("--tmax", type=_finite, default=1.0)
     p.add_argument("--samples", type=int, help="resample dense output at N times")
     p.set_defaults(fn=cmd_shoot)
@@ -294,7 +310,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("exp", help="exponential map endpoint")
     _add_model_args(p)
     p.add_argument("--from", dest="point", type=_vector, required=True)
-    p.add_argument("--vel", type=_vector, required=True)
+    p.add_argument("--vel", required=True)
     p.set_defaults(fn=cmd_exp)
 
     p = sub.add_parser("connect", help="two-point geodesic connection")
@@ -353,6 +369,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GeoError as err:
         print(f"geoconnect: {err}", file=sys.stderr)
         return EXIT_GEOMETRIC
+    except argparse.ArgumentTypeError as err:   # a flag a subcommand parses itself
+        print(f"geoconnect: error: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,10 @@ from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
     dexp_matrix,
 )
-from .manifold import ManifoldModel, VectorField, auxiliary_riemannian, causal_class, orthonormal_frame
+from .manifold import (
+    ManifoldModel, VectorField, _check_chart, auxiliary_riemannian, causal_class,
+    orthonormal_frame,
+)
 
 __all__ = [
     "ConnectConfig", "TargetPath", "LiftOutcome",
@@ -30,6 +33,8 @@ __all__ = [
 
 CORRECTOR_TOL = 1e-9      # residual a lift corrector accepts
 NEWTON_ITERATIONS = 8     # corrector iteration budget
+LOG_TOL = 1e-10           # residual local_log accepts
+LOG_ITERATIONS = 50       # local_log iteration budget
 FAR_RESIDUAL = 1e-5       # above it Newton steps must contract; local_log integrates coarsely
 SV_FLOOR = 1e-6           # smallest singular value of a regular differential
 ESCAPE_FACTOR = 1e4       # lift escape bound, in target path lengths
@@ -53,9 +58,7 @@ class ConnectConfig:
 @dataclass
 class TargetPath:
     point: Callable[[float], np.ndarray]
-    deriv: Callable[[float], np.ndarray]
     length: float
-    provenance: str  # 'ChartSegment' | 'AuxGeodesic' | 'UserPolyline'
 
 
 @dataclass
@@ -120,13 +123,13 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
 
 
 def _log_newton(model: ManifoldModel, p: np.ndarray, target: np.ndarray,
-                cfg: ConnectConfig, tol: float = 1e-10, max_iter: int = 50):
+                cfg: ConnectConfig):
     """local_log's Newton solve, returning the ``_newton`` tuple."""
     v = target - p
     # far from the root a cheap integration is enough to steer Newton
     coarse = cfg.integrator.with_(rtol=max(cfg.integrator.rtol, 1e-6),
                                   atol=max(cfg.integrator.atol, 1e-8))
-    return _newton(model, p, v, target, cfg.integrator, coarse, tol, max_iter,
+    return _newton(model, p, v, target, cfg.integrator, coarse, LOG_TOL, LOG_ITERATIONS,
                    vcap=100.0 * (1.0 + np.linalg.norm(v)))
 
 
@@ -135,8 +138,6 @@ def local_log(
     p,
     target,
     cfg: ConnectConfig | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Invert exp_p near p by full-step Newton iteration seeded at the chart difference.
 
@@ -146,7 +147,7 @@ def local_log(
     Delta v_k just taken (Deuflhard's natural monotonicity test).  Here that
     phase runs on a coarse integrator, and iterates are capped at
     100 * (1 + |v0|).  It also stops when exp_p or its differential cannot
-    be evaluated, or after ``max_iter`` iterations.
+    be evaluated, or after LOG_ITERATIONS iterations.
 
     Raises NoConvergence in each of these cases.  That means q is not
     reachable by full-step Newton from the chart-difference seed, not that
@@ -154,7 +155,7 @@ def local_log(
     """
     flag, v, _, residual, it = _log_newton(
         model, np.asarray(p, dtype=float), np.asarray(target, dtype=float),
-        cfg or ConnectConfig(), tol, max_iter)
+        cfg or ConnectConfig())
     if flag != "ok":
         raise NoConvergence(it, residual)
     return v
@@ -164,13 +165,7 @@ def _segment_path(p: np.ndarray, q: np.ndarray) -> TargetPath:
     delta = q - p
     length = float(np.linalg.norm(delta))
     direction = delta / length
-
-    return TargetPath(
-        point=lambda t: p + t * direction,
-        deriv=lambda t: direction,
-        length=length,
-        provenance="ChartSegment",
-    )
+    return TargetPath(point=lambda t: p + t * direction, length=length)
 
 
 def _default_timelike_field(model: ManifoldModel) -> VectorField:
@@ -188,7 +183,7 @@ def _aux_path(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
     """Geodesic of an auxiliary complete Riemannian metric from p to q."""
     if model.is_riemannian:
         # flat chart metric: its geodesics are chart segments
-        return replace(_segment_path(p, q), provenance="AuxGeodesic")
+        return _segment_path(p, q)
     aux = auxiliary_riemannian(model, _default_timelike_field(model))
     sub = replace(cfg, path_kind="segment")
     outcome = connect(aux, p, q, sub)
@@ -196,12 +191,7 @@ def _aux_path(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
         # fall back to the chart segment rather than failing outright
         return _segment_path(p, q)
     path = integrate_geodesic(aux, p, outcome.v, sub.integrator, t_max=1.0)
-    return TargetPath(
-        point=lambda t: path.point(min(max(t, 0.0), 1.0)),
-        deriv=lambda t: path.velocity(min(max(t, 0.0), 1.0)),
-        length=1.0,
-        provenance="AuxGeodesic",
-    )
+    return TargetPath(point=lambda t: path.point(min(max(t, 0.0), 1.0)), length=1.0)
 
 
 def _bumped_path(base: TargetPath, p: np.ndarray, q: np.ndarray, k: int,
@@ -224,10 +214,7 @@ def _bumped_path(base: TargetPath, p: np.ndarray, q: np.ndarray, k: int,
     def pt(t: float) -> np.ndarray:
         return base.point(t) + delta * np.sin(np.pi * t / ell) * d
 
-    def dv(t: float) -> np.ndarray:
-        return base.deriv(t) + delta * (np.pi / ell) * np.cos(np.pi * t / ell) * d
-
-    return TargetPath(pt, dv, ell, base.provenance)
+    return TargetPath(pt, ell)
 
 
 def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
@@ -322,17 +309,19 @@ def _ray_is_regular(frame: DifferentialFrame) -> bool:
 def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> LiftOutcome:
     """Find v with exp_p(v) = q by path lifting; typed failure otherwise.
 
-    OutOfChart if p is outside the chart or q is not finite."""
+    OutOfChart if p is not a point inside the chart, or q is not a finite
+    point with dim coordinates."""
     cfg = cfg or ConnectConfig()
-    p = np.asarray(p, dtype=float)
-    if not model.domain.contains(p):
-        raise OutOfChart(p)
-    if not np.all(np.isfinite(q)):
+    p = _check_chart(model, p)
+    q = np.array(q, dtype=float)
+    if q.shape != p.shape:
+        raise OutOfChart(q, f"target point needs {model.dim} coordinates")
+    if not np.isfinite(q).all():
         raise OutOfChart(q, "target point not finite")
     # periodic chart coordinates: lift to the representative nearest p, else
     # the target path may force the lift around a chart seam with no
     # continuous preimage
-    q = _wrap_near(model, np.array(q, dtype=float), p)
+    q = _wrap_near(model, q, p)
     if np.allclose(p, q, atol=cfg.connect_tol * 1e-3):
         return LiftOutcome("Connected", np.zeros_like(p), [], {})
     # fast path: q inside the normal neighborhood of p
@@ -390,7 +379,7 @@ def connect_report(
         report["geodesic_length"] = float(np.sqrt(abs(v @ g @ v)))
         report["energy_class"] = causal_class(model, p, v)
     if locus is not None:
-        report["target_component"] = component_of_point(model, locus, q)
+        report["target_component"] = component_of_point(locus, q)
         report["locus_caveat"] = locus.diagnostics.get("caveat", "")
     return report
 

@@ -21,8 +21,8 @@ from .geodesic import (
     chart_exit_monitors,
 )
 from .manifold import (
-    ManifoldModel, central_difference, check_tangent, christoffel_deriv_raw,
-    christoffel_raw, embedding_point, orthonormal_frame,
+    ManifoldModel, causal_sign, central_difference, check_tangent,
+    christoffel_deriv_raw, christoffel_raw, embedding_point, orthonormal_frame,
 )
 
 __all__ = [
@@ -51,10 +51,8 @@ _LOCUS_CAVEAT = (
 @dataclass
 class DifferentialFrame:
     matrix: np.ndarray
-    det: float
     min_singular_value: float
     endpoint: np.ndarray          # exp_p(v), from the same computation
-    end_velocity: np.ndarray
     ray: Callable[[float], np.ndarray]   # t -> d(exp_p)_{tv} on (0, 1]; ray(1.0) is matrix
 
 
@@ -158,10 +156,10 @@ def _wrap_delta(model: ManifoldModel, delta: np.ndarray) -> np.ndarray:
     return _wrap_near(model, delta, np.zeros_like(delta))
 
 
-def _frame(J: np.ndarray, x1: np.ndarray, v1: np.ndarray,
+def _frame(J: np.ndarray, x1: np.ndarray,
            ray: Callable[[float], np.ndarray]) -> DifferentialFrame:
     svals = np.linalg.svd(J, compute_uv=False)
-    return DifferentialFrame(J, float(np.linalg.det(J)), float(svals[-1]), x1, v1, ray)
+    return DifferentialFrame(J, float(svals[-1]), x1, ray)
 
 
 def _oracle_dexp(model: ManifoldModel, p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -175,14 +173,13 @@ def _oracle_dexp(model: ManifoldModel, p: np.ndarray, w: np.ndarray) -> np.ndarr
 
 
 def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray) -> DifferentialFrame:
-    """Differential frame from the closed-form geodesic map.  The end velocity
-    is J v, because gamma'(1) = d(exp_p)_v(v)."""
+    """Differential frame from the closed-form geodesic map."""
     p, v = p.copy(), v.copy()     # the ray outlives the caller's arrays
     x1 = np.asarray(model.oracle.point(p, v, 1.0), dtype=float)
     J = _oracle_dexp(model, p, v)
     if not np.isfinite(x1).all():
         raise LinearizationFailure(1.0, float("inf"))
-    return _frame(J, x1, J @ v, lambda t: _oracle_dexp(model, p, t * v))
+    return _frame(J, x1, lambda t: _oracle_dexp(model, p, t * v))
 
 
 def dexp_matrix(
@@ -193,22 +190,21 @@ def dexp_matrix(
     p, v = check_tangent(model, p, v)
     n = model.dim
     if not np.any(v):
-        return DifferentialFrame(np.eye(n), 1.0, 1.0, p.copy(), v.copy(),
-                                 lambda t: np.eye(n))
+        return DifferentialFrame(np.eye(n), 1.0, p.copy(), lambda t: np.eye(n))
     if cfg is not None and cfg.prefer_oracle and model.oracle is not None:
         return _oracle_frame(model, p, v)
     var = integrate_variational(model, p, v, t_max=1.0, cfg=cfg)
     if var.termination is not Termination.REACHED_TMAX:
         raise DomainEscape(var.termination, var.term_time)
-    x1, v1, J = var.split(1.0)
-    return _frame(J, x1, v1, var.dexp_at)
+    x1, _, J = var.split(1.0)
+    return _frame(J, x1, var.dexp_at)
 
 
 def normalize_direction(model: ManifoldModel, p, u) -> np.ndarray:
     """Unit g-norm for non-null directions; flat-chart unit norm for null ones."""
     p, u = check_tangent(model, p, u)
     q = float(u @ np.asarray(model.metric(p), dtype=float) @ u)
-    if abs(q) > 1e-12 * float(u @ u):
+    if causal_sign(q, u):
         return u / np.sqrt(abs(q))
     nrm = np.linalg.norm(u)
     if nrm == 0.0:
@@ -222,11 +218,10 @@ def _first_conjugate_scan(
     u,
     t_max: float,
     cfg: IntegratorConfig | None,
-    singular_tol: float,
 ) -> tuple[Optional[float], VariationalPath]:
     """(t* or None, the variational path); the path ends at a found t*."""
     var = integrate_variational(model, p, u, t_max=t_max, cfg=cfg,
-                                singular_tol=singular_tol)
+                                singular_tol=SINGULAR_TOL)
     if var.termination is Termination.CONJUGATE_POINT:
         return var.term_time, var
     if var.termination is not Termination.REACHED_TMAX:
@@ -240,17 +235,16 @@ def first_conjugate_time(
     u,
     t_max: float,
     cfg: IntegratorConfig | None = None,
-    singular_tol: float = SINGULAR_TOL,
 ) -> Optional[float]:
-    """Smallest t* in (0, t_max] with det d(exp_p)_{t* u} <= singular_tol, or None.
+    """Smallest t* in (0, t_max] with det d(exp_p)_{t* u} <= SINGULAR_TOL, or None.
 
-    One variational integration watches det(J(t)/t) - singular_tol at each
+    One variational integration watches det(J(t)/t) - SINGULAR_TOL at each
     step end and stops at its first zero on that step's interpolant.  A sign
     change is always found, a dip only if it reaches a step end, so an even
     multiplicity, where det keeps its sign, can be missed.  Raises
     DomainEscape if the ray leaves the domain before any singularity.
     """
-    return _first_conjugate_scan(model, p, u, t_max, cfg, singular_tol)[0]
+    return _first_conjugate_scan(model, p, u, t_max, cfg)[0]
 
 
 def direction_grid(model: ManifoldModel, p, count: int) -> list[dict]:
@@ -307,6 +301,7 @@ class ConjugateLocusSample:
     p: np.ndarray
     rays: list[dict]
     clusters: list[np.ndarray]
+    complement: Optional[tuple]   # complement_grid(p, clusters): (xs, ys, labels) or None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -330,7 +325,7 @@ def _locus_rays(model: ManifoldModel, p, grid: list[dict], t_max: float,
         u = normalize_direction(model, p, entry["u"])
         row = {"index": i, "u": u, "causal_class": entry.get("causal_class", "")}
         try:
-            t_star, var = _first_conjugate_scan(model, p, u, t_max, cfg, SINGULAR_TOL)
+            t_star, var = _first_conjugate_scan(model, p, u, t_max, cfg)
         except DomainEscape as esc:
             row.update(t_star=None, point=None, status=f"escape:{esc.termination.value}")
         else:
@@ -392,21 +387,11 @@ def complement_grid(model: ManifoldModel, p, cluster_pts: list[np.ndarray]):
     return xs, ys, labels
 
 
-def _complement_components(model: ManifoldModel, p,
-                           cluster_pts: list[np.ndarray]) -> int:
-    grid = complement_grid(model, p, cluster_pts)
-    if grid is None:
-        return -1
-    return int(grid[2].max()) + 1
-
-
-def component_of_point(model: ManifoldModel, sample: "ConjugateLocusSample",
-                       q) -> int | None:
+def component_of_point(sample: "ConjugateLocusSample", q) -> int | None:
     """Label of the sampled complement component containing q (surfaces only)."""
-    grid = complement_grid(model, sample.p, sample.clusters)
-    if grid is None:
+    if sample.complement is None:
         return None
-    xs, ys, labels = grid
+    xs, ys, labels = sample.complement
     q = np.asarray(q, dtype=float)
     i = int(np.argmin(np.abs(xs - q[0])))
     j = int(np.argmin(np.abs(ys - q[1])))
@@ -417,7 +402,6 @@ def component_of_point(model: ManifoldModel, sample: "ConjugateLocusSample",
 def conjugate_locus_sample(
     model: ManifoldModel,
     p,
-    grid: list[dict] | None = None,
     t_max: float = 2.0 * np.pi,
     cfg: IntegratorConfig | None = None,
     count: int = 64,
@@ -428,8 +412,7 @@ def conjugate_locus_sample(
     if cfg is None:
         # t* is only needed to ~1e-6; the default shooting tolerance is overkill
         cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
-    if grid is None:
-        grid = direction_grid(model, p, count)
+    grid = direction_grid(model, p, count)
     rows, pts = _locus_rays(model, p, grid, t_max, cfg)
     clusters = _cluster(pts, CLUSTER_RADIUS)
     diagnostics = {"caveat": _LOCUS_CAVEAT}
@@ -440,5 +423,7 @@ def conjugate_locus_sample(
         diagnostics["cluster_count"] = len(clusters)
         diagnostics["refined_cluster_count"] = len(fine_clusters)
         diagnostics["cluster_count_stable"] = len(fine_clusters) == len(clusters)
-    diagnostics["complement_components"] = _complement_components(model, p, clusters)
-    return ConjugateLocusSample(p, rows, clusters, diagnostics)
+    complement = complement_grid(model, p, clusters)
+    diagnostics["complement_components"] = (
+        -1 if complement is None else int(complement[2].max()) + 1)
+    return ConjugateLocusSample(p, rows, clusters, complement, diagnostics)

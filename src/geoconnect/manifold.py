@@ -19,11 +19,12 @@ __all__ = [
     "ChartDomain", "ManifoldModel", "Tangent", "ScalarField", "VectorField",
     "metric_eval", "christoffel_eval", "inner", "causal_class",
     "christoffel_from_metric", "christoffel_deriv_from_metric",
-    "auxiliary_riemannian", "embedding_point", "embedding_jacobian",
-    "orthonormal_frame", "central_difference", "check_tangent", "DEGENERACY_TOL",
+    "auxiliary_riemannian", "embedding_point", "orthonormal_frame",
+    "central_difference", "check_tangent", "causal_sign", "DEGENERACY_TOL", "NULL_TOL",
 ]
 
 DEGENERACY_TOL = 1e-12
+NULL_TOL = 1e-12   # |g(u, u)| at or below NULL_TOL * (u . u) counts as null
 
 
 @dataclass(frozen=True)
@@ -128,19 +129,21 @@ class VectorField:
     name: str = "V"
 
 
-def _check_chart(model: ManifoldModel, x: np.ndarray, margin: float = 0.0) -> np.ndarray:
+def _check_chart(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise OutOfChart(x, f"expected {model.dim} coordinates")
-    if not model.domain.contains(x, margin):
+    if not model.domain.contains(x):
         raise OutOfChart(x)
     return x
 
 
 def check_tangent(model: ManifoldModel, p, v) -> tuple[np.ndarray, np.ndarray]:
     """(p, v) as float arrays.  Raises OutOfChart unless p is a finite point
-    inside the chart, and ValueError unless v is finite."""
+    inside the chart, and ValueError unless v is finite with dim components."""
     v = np.asarray(v, dtype=float)
+    if v.shape != (model.dim,):
+        raise ValueError(f"tangent vector needs {model.dim} components: {v}")
     if not np.isfinite(v).all():
         raise ValueError(f"tangent vector not finite: {v}")
     return _check_chart(model, p), v
@@ -225,7 +228,7 @@ def christoffel_raw(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
 
 def christoffel_eval(model: ManifoldModel, x) -> np.ndarray:
     """Validated Christoffel symbols Gamma^k_ij at a chart point."""
-    x = _check_chart(model, x, margin=0.0)
+    x = _check_chart(model, x)
     gamma = christoffel_raw(model, x)
     return gamma
 
@@ -247,16 +250,22 @@ def inner(model: ManifoldModel, x, u, w) -> float:
     return float(u @ np.asarray(model.metric(x), dtype=float) @ w)
 
 
+def causal_sign(q: float, u: np.ndarray) -> int:
+    """1, -1 or 0 as q = g(u, u) is spacelike, timelike or null, judged against
+    the chart norm of u; a NaN q counts as null."""
+    tol = NULL_TOL * float(u @ u)
+    if q > tol:
+        return 1
+    if q < -tol:
+        return -1
+    return 0
+
+
 def causal_class(model: ManifoldModel, x, u) -> str:
     """Classify a tangent vector as spacelike, timelike, or null."""
     u = np.asarray(u, dtype=float)
-    q = inner(model, x, u, u)
-    tol = 1e-12 * float(u @ u)
-    if q > tol:
-        return "spacelike"
-    if q < -tol:
-        return "timelike"
-    return "null"
+    sign = causal_sign(inner(model, x, u, u), u)
+    return "spacelike" if sign > 0 else "timelike" if sign < 0 else "null"
 
 
 def auxiliary_riemannian(model: ManifoldModel, V: VectorField) -> ManifoldModel:
@@ -292,17 +301,6 @@ def embedding_point(model: ManifoldModel, x) -> np.ndarray:
     if model.embedding is None:
         return x
     return np.asarray(model.embedding(x), dtype=float)
-
-
-def embedding_jacobian(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the embedding map (analytic if supplied, else central fd)."""
-    x = np.asarray(x, dtype=float)
-    if model.embedding is None:
-        return np.eye(model.dim)
-    if model.embedding_jac is not None:
-        return np.asarray(model.embedding_jac(x), dtype=float)
-    return np.ascontiguousarray(
-        central_difference(lambda y: embedding_point(model, y), x, 1e-6).T)
 
 
 def orthonormal_frame(model: ManifoldModel, x) -> tuple[np.ndarray, np.ndarray]:

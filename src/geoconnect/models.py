@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import StepSizeUnderflow, UnknownModel
-from .manifold import ChartDomain, ManifoldModel
+from .manifold import ChartDomain, ManifoldModel, causal_sign
 
 __all__ = ["model_registry", "list_models", "BUILTIN_MODELS"]
 
@@ -102,9 +102,9 @@ class _QuadricOracle:
     With P the embedded base point and U = d(embed)_p v, the geodesic is
     cos(ct) P + sin(ct) U/c, cosh(ct) P + sinh(ct) U/c or P + tU as
     q = <U, U>_eta is positive (q = c^2), negative (q = -c^2) or null.  By
-    isometry q = g_p(v, v), judged null against the chart norm v.v as in
-    ``causal_class``.  A timelike point beyond float range raises
-    StepSizeUnderflow, as the numeric integrator does on the same ray.
+    isometry q = g_p(v, v), classed by ``causal_sign``.  A timelike point
+    beyond float range raises StepSizeUnderflow, as the numeric integrator
+    does on the same ray.
     """
 
     def __init__(self, metric, embed, embed_jac, chart):
@@ -119,11 +119,11 @@ class _QuadricOracle:
         P = self._embed(p)
         U = self._embed_jac(p) @ v
         q = float(v @ self._metric(p) @ v)
-        tol = 1e-12 * float(v @ v)
-        if q > tol:
+        sign = causal_sign(q, v)
+        if sign > 0:
             c = math.sqrt(q)
             return math.cos(c * t) * P + (math.sin(c * t) / c) * U
-        if q < -tol:
+        if sign < 0:
             c = math.sqrt(-q)
             try:
                 ch, sh = math.cosh(c * t), math.sinh(c * t)

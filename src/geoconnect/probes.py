@@ -26,6 +26,11 @@ __all__ = [
 
 SAMPLED_EVIDENCE = "sampled evidence at a finite horizon, not a proof"
 CAUCHY_TAIL = 5  # trailing images whose spread judges a weak-properness limit
+RADIAL_SAMPLES = 60     # schedule points per radial ray
+SPIRAL_SAMPLES = 80     # schedule points per spiral
+SWEEP_SAMPLES = 60      # schedule points per hyperboloid sweep
+CONVEX_INTERVAL = (0.0, 1.0)   # geodesic parameter range convex_check samples
+CONVEX_STEP = 1e-3             # its second-difference step
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,12 @@ class ProbeVerdict:
 
 
 def radial_ray_family(model: ManifoldModel, p, count: int = 16,
-                      norm_cap: float = 1e3, samples: int = 60) -> ProbeCurveFamily:
+                      norm_cap: float = 1e3) -> ProbeCurveFamily:
     """Rays t -> t*u escaping to the norm cap."""
     E, _ = orthonormal_frame(model, p)
     n = model.dim
     rng = np.random.default_rng(711)
-    schedule = np.geomspace(1e-2, 1.05 * norm_cap, samples)
+    schedule = np.geomspace(1e-2, 1.05 * norm_cap, RADIAL_SAMPLES)
     curves = []
     for i in range(count):
         if n == 2:
@@ -78,10 +83,10 @@ def radial_ray_family(model: ManifoldModel, p, count: int = 16,
 
 
 def spiral_family(model: ManifoldModel, p, count: int = 8,
-                  norm_cap: float = 1e3, samples: int = 80) -> ProbeCurveFamily:
+                  norm_cap: float = 1e3) -> ProbeCurveFamily:
     """Slowly rotating escaping spirals (surfaces only)."""
     E, _ = orthonormal_frame(model, p)
-    schedule = np.geomspace(1e-2, 1.05 * norm_cap, samples)
+    schedule = np.geomspace(1e-2, 1.05 * norm_cap, SPIRAL_SAMPLES)
     curves = []
     for i in range(count):
         phase = 2.0 * np.pi * i / count
@@ -95,8 +100,8 @@ def spiral_family(model: ManifoldModel, p, count: int = 8,
 
 
 def hyperboloid_sweep_family(model: ManifoldModel, p, gnorm: float,
-                             causal: str = "spacelike", norm_cap: float = 1e3,
-                             samples: int = 60) -> ProbeCurveFamily:
+                             causal: str = "spacelike",
+                             norm_cap: float = 1e3) -> ProbeCurveFamily:
     """Constant-g-norm sweep over boosted directions (indefinite models).
 
     The curve alpha(chi) = c * (cosh(chi) e_s + sinh(chi) e_t) keeps
@@ -106,7 +111,7 @@ def hyperboloid_sweep_family(model: ManifoldModel, p, gnorm: float,
     es = E[:, np.flatnonzero(signs == 1)[0]]
     et = E[:, np.flatnonzero(signs == -1)[0]]
     chi_max = np.arccosh(max(1.05 * norm_cap / (gnorm * max(np.linalg.norm(es), 1e-12)), 2.0))
-    schedule = np.linspace(0.0, chi_max, samples)
+    schedule = np.linspace(0.0, chi_max, SWEEP_SAMPLES)
 
     if causal == "spacelike":
         def alpha(chi):
@@ -253,18 +258,22 @@ def disprisonment_probe(model: ManifoldModel, seeds: Sequence[Tangent],
 def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 64,
                           horizon: float = 10.0, seed: int = 2024,
                           cfg: IntegratorConfig | None = None) -> dict:
-    """Bounding box K* of geodesic segments with both endpoints in K."""
+    """Bounding box K* of geodesic segments with both endpoints in K.
+
+    One seeded run of 2 * sample_count draws; the first row is K* after the
+    first sample_count of them, the second after all."""
     cfg = cfg or IntegratorConfig()
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
-
-    def run(count: int) -> tuple[np.ndarray, np.ndarray, int]:
-        rng = np.random.default_rng(seed)
-        bb_lo = lo.copy()
-        bb_hi = hi.copy()
-        segments = 0
-        scale = float(np.max(hi - lo))
-        for _ in range(count):
+    rng = np.random.default_rng(seed)
+    bb_lo = lo.copy()
+    bb_hi = hi.copy()
+    segments = 0
+    scale = float(np.max(hi - lo))
+    rows = []
+    diagonals = []
+    for samples in (sample_count, 2 * sample_count):
+        for _ in range(sample_count):
             p = rng.uniform(lo, hi)
             if not model.domain.contains(p):
                 continue
@@ -287,36 +296,28 @@ def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 
             bb_lo = np.minimum(bb_lo, seg.min(axis=0))
             bb_hi = np.maximum(bb_hi, seg.max(axis=0))
             segments += 1
-        return bb_lo, bb_hi, segments
-
-    lo1, hi1, n1 = run(sample_count)
-    lo2, hi2, n2 = run(2 * sample_count)
-    diag1 = float(np.linalg.norm(hi1 - lo1))
-    diag2 = float(np.linalg.norm(hi2 - lo2))
-    unbounded = diag2 > 1.2 * diag1
+        rows.append({"samples": samples, "segments": segments,
+                     "Kstar_lower": bb_lo.tolist(), "Kstar_upper": bb_hi.tolist()})
+        diagonals.append(float(np.linalg.norm(bb_hi - bb_lo)))
+    unbounded = diagonals[1] > 1.2 * diagonals[0]
     return {
         "kind": "pseudoconvex",
         "model": model.name,
         "params": {"K_lower": lo.tolist(), "K_upper": hi.tolist(),
                    "sample_count": sample_count, "horizon": horizon},
-        "rows": [
-            {"samples": sample_count, "segments": n1,
-             "Kstar_lower": lo1.tolist(), "Kstar_upper": hi1.tolist()},
-            {"samples": 2 * sample_count, "segments": n2,
-             "Kstar_lower": lo2.tolist(), "Kstar_upper": hi2.tolist()},
-        ],
+        "rows": rows,
         "verdict": "Unbounded" if unbounded else "BoundedAtSampleScale",
         "caveat": SAMPLED_EVIDENCE,
     }
 
 
 def convex_check(model: ManifoldModel, f: ScalarField, samples: Sequence[Tangent],
-                 interval: tuple[float, float] = (0.0, 1.0),
-                 step: float = 1e-3,
                  cfg: IntegratorConfig | None = None) -> dict:
-    """Second-difference convexity and endpoint-max bound along sampled geodesics."""
+    """Second-difference convexity and endpoint-max bound along sampled geodesics,
+    on CONVEX_INTERVAL with step CONVEX_STEP."""
     cfg = cfg or IntegratorConfig()
-    a, b = interval
+    a, b = CONVEX_INTERVAL
+    step = CONVEX_STEP
     rows = []
     worst = None
     for k, seed in enumerate(samples):
@@ -363,7 +364,7 @@ def convex_check(model: ManifoldModel, f: ScalarField, samples: Sequence[Tangent
     return {
         "kind": "convex",
         "model": model.name,
-        "params": {"f": f.name, "interval": list(interval), "step": step,
+        "params": {"f": f.name, "interval": list(CONVEX_INTERVAL), "step": step,
                    "samples": len(samples)},
         "rows": rows,
         "worst": worst,

@@ -219,6 +219,12 @@ def test_cli_connect_non_finite_target(capsys):
     assert "not finite" in captured.err
 
 
+def test_cli_connect_target_of_the_wrong_length(capsys):
+    rc = main(["connect", "--model", "sphere2", "--from", "1,0.3", "--to", "1,2,3"])
+    assert rc == 2
+    assert "coordinates" in capsys.readouterr().err
+
+
 def test_cli_connect_rtol_keeps_step_cap(monkeypatch, capsys):
     """--rtol changes the tolerances only, not the connector's other defaults."""
     seen = {}
@@ -254,6 +260,26 @@ def test_cli_bad_tolerance_or_horizon_is_a_usage_error(argv):
                          capture_output=True, text=True, timeout=30)
     assert out.returncode == 1
     assert "error: argument" in out.stderr and "Traceback" not in out.stderr
+
+
+_EUCLIDEAN_PROBE = ["probe", "--model", "euclidean", "--dim", "2"]
+_POLYLINE = [*_EUCLIDEAN_PROBE, "--kind", "weakproper", "--point", "0,0",
+             "--family", "polyline", "--waypoints"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exp", "--model", "sphere2", "--from", "1,0.3", "--vel", "nan,1"],
+    ["shoot", "--model", "sphere2", "--from", "1,0.3", "--vel", "1,2,3"],
+    [*_EUCLIDEAN_PROBE, "--kind", "pseudoconvex", "--box", "1,x;2,3"],
+    [*_EUCLIDEAN_PROBE, "--kind", "pseudoconvex", "--box", "1,1"],
+    [*_POLYLINE, "1,q"],
+    [*_POLYLINE, "1,2,3"],
+], ids=["vel-nan", "vel-length", "box-format", "box-one-corner", "waypoint-format",
+        "waypoint-length"])
+def test_cli_malformed_vector_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("geoconnect: error: argument") and err.count("\n") == 1
 
 
 def test_cli_conj_locus_csv(capsys):

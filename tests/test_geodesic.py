@@ -115,6 +115,17 @@ def test_non_finite_velocity_rejected_on_every_route():
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: integrate_geodesic(s, (1.0, 0.3), (1.0, 2.0, 3.0)),
+    lambda s: exp(s, (1.0, 0.3), (1.0, 2.0, 3.0)),
+    lambda s: jacobi.dexp_matrix(s, (1.0, 0.3), (1.0, 2.0, 3.0)),
+    lambda s: jacobi.first_conjugate_time(s, (1.0, 0.3), (1.0,), 4.0),
+], ids=["integrate_geodesic", "exp", "dexp_matrix", "first_conjugate_time"])
+def test_velocity_of_the_wrong_length_rejected(call):
+    with pytest.raises(ValueError, match="components"):
+        call(model_registry("sphere2"))
+
+
 @pytest.mark.parametrize("kw", [
     {"rtol": math.nan}, {"rtol": math.inf}, {"rtol": -1e-8},
     {"atol": 0.0}, {"atol": math.nan}, {"atol": -1e-12},
@@ -450,7 +461,7 @@ def test_conjugate_scan_matches_scipy_rk45(monkeypatch):
     u = jacobi.normalize_direction(s, p, np.array([0.3, 1.0]))
 
     def scan():
-        return jacobi._first_conjugate_scan(s, p, u, 4.0, None, jacobi.SINGULAR_TOL)
+        return jacobi._first_conjugate_scan(s, p, u, 4.0, None)
 
     t_star, ours = scan()
     monkeypatch.setattr(jacobi, "_integrate", _scipy_integrate)

@@ -7,6 +7,7 @@ from geoconnect import (
     dexp_matrix, exp, first_conjugate_time, integrate_variational,
     model_registry, normalize_direction,
 )
+from geoconnect import jacobi
 from geoconnect.geodesic import _integrate
 from geoconnect.jacobi import (
     SINGULAR_TOL, _conjugate_monitor, _first_conjugate_scan, _wrap_delta,
@@ -31,7 +32,6 @@ def test_dexp_identity_at_zero():
         p = np.full(model.dim, 0.7) if name != "sphere2" else np.array([1.0, 0.0])
         frame = dexp_matrix(model, p, np.zeros(model.dim))
         assert np.allclose(frame.matrix, np.eye(model.dim), atol=1e-12)
-        assert frame.det == 1.0
 
 
 @pytest.mark.parametrize("name,p", [
@@ -64,7 +64,6 @@ def test_oracle_frame_matches_variational_frame(name, n, p):
         var = dexp_matrix(model, p, v)
         assert np.allclose(oracle.matrix, var.matrix, rtol=0.0, atol=1e-6)
         assert np.allclose(oracle.endpoint, var.endpoint, rtol=0.0, atol=1e-9)
-        assert np.allclose(oracle.end_velocity, var.end_velocity, rtol=0.0, atol=1e-8)
         for t in (0.25, 0.5, 1.0):
             assert np.allclose(oracle.ray(t), var.ray(t), rtol=0.0, atol=1e-6)
 
@@ -154,7 +153,7 @@ def test_fast_ray_stops_at_its_first_conjugate_point(t_max):
     s = model_registry("sphere2")
     p = np.array([1.4, 0.7])
     u = 1000.0 * normalize_direction(s, p, np.array([0.3, 1.0]))
-    t_star, var = _first_conjugate_scan(s, p, u, t_max, None, SINGULAR_TOL)
+    t_star, var = _first_conjugate_scan(s, p, u, t_max, None)
     assert t_star == pytest.approx(np.pi / 1000.0, abs=1e-8)
     assert var.termination is Termination.CONJUGATE_POINT
     assert var.term_time == t_star == var.ts[-1]
@@ -245,7 +244,21 @@ def test_sphere_locus_clusters_to_antipode():
     assert "caveat" in sample.diagnostics
     assert sample.diagnostics["complement_components"] >= 1
     q = np.array([1.3, 1.0])
-    assert component_of_point(s, sample, q) is not None
+    assert component_of_point(sample, q) is not None
+
+
+def test_component_of_point_reads_the_sampled_complement(monkeypatch):
+    s = model_registry("sphere2")
+    p = np.array([1.1, 0.4])
+    sample = conjugate_locus_sample(s, p, t_max=3.5, count=8, refine=0)
+    xs, ys, labels = jacobi.complement_grid(s, p, sample.clusters)
+    assert all(np.array_equal(a, b) for a, b in zip(sample.complement, (xs, ys, labels)))
+    calls = []
+    monkeypatch.setattr(jacobi, "complement_grid", lambda *args: calls.append(args))
+    q = np.array([1.3, 1.0])
+    label = labels[np.argmin(np.abs(xs - q[0])), np.argmin(np.abs(ys - q[1]))]
+    assert component_of_point(sample, q) == label >= 0
+    assert calls == []
 
 
 def test_variational_termination_mirrors_base_path():

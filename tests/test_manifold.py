@@ -11,7 +11,7 @@ from geoconnect import (
     metric_eval, model_from_config_text, model_registry, orthonormal_frame,
 )
 from geoconnect.manifold import (
-    christoffel_deriv_raw, embedding_jacobian, embedding_point, fd_christoffel,
+    christoffel_deriv_raw, embedding_point, fd_christoffel,
 )
 from geoconnect.models import BUILTIN_MODELS
 
@@ -277,12 +277,12 @@ def test_only_the_paraboloid_finite_differences(monkeypatch):
 
 
 def test_embedding_jacobian_matches_fd():
-    for name in ["sphere2", "desitter", "paraboloid"]:
+    for name in ["sphere2", "desitter"]:
         model = model_registry(name)
         rng = np.random.default_rng(31)
         for _ in range(5):
             x = _interior_point(model, rng)
-            J = embedding_jacobian(model, x)
+            J = model.embedding_jac(x)
             fd = np.empty_like(J)
             for i in range(model.dim):
                 h = 1e-6
@@ -299,7 +299,7 @@ def test_embedding_metric_pullback():
     rng = np.random.default_rng(41)
     for _ in range(10):
         x = _interior_point(s, rng)
-        J = embedding_jacobian(s, x)
+        J = s.embedding_jac(x)
         assert np.allclose(J.T @ J, s.metric(x), atol=1e-10)
 
 
@@ -309,7 +309,7 @@ def test_desitter_embedding_pullback():
     rng = np.random.default_rng(43)
     for _ in range(10):
         x = _interior_point(d, rng)
-        J = embedding_jacobian(d, x)
+        J = d.embedding_jac(x)
         assert np.allclose(J.T @ eta @ J, d.metric(x), atol=1e-10)
 
 

@@ -9,6 +9,7 @@ from geoconnect import (
     model_registry, polyline_family, pseudoconvexity_probe, radial_ray_family,
     spiral_family, weak_properness_probe,
 )
+from geoconnect import probes
 from geoconnect.errors import OutOfChart
 from geoconnect.probes import SAMPLED_EVIDENCE
 
@@ -100,6 +101,27 @@ def test_pseudoconvexity_flat_box_bounded():
     assert np.allclose(row["Kstar_lower"], [-1.0, -1.0], atol=1e-9)
     assert np.allclose(row["Kstar_upper"], [1.0, 1.0], atol=1e-9)
     assert rep["rows"][1]["segments"] >= row["segments"]
+
+
+def test_pseudoconvexity_draws_each_sample_once(monkeypatch):
+    """The first row is the first half of the second row's draws, not a rerun."""
+    calls = []
+    real = probes.integrate_geodesic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(probes, "integrate_geodesic", counting)
+    e = model_registry("euclidean", n=2)
+    pseudoconvexity_probe(e, (np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+                          sample_count=8, horizon=3.0)
+    assert len(calls) == 2 * 8
+    s = model_registry("sphere2")
+    box = (np.array([1.0, -0.5]), np.array([2.0, 0.5]))
+    half = pseudoconvexity_probe(s, box, sample_count=4, horizon=2.0)
+    full = pseudoconvexity_probe(s, box, sample_count=8, horizon=2.0)
+    assert full["rows"][0] == half["rows"][1]
 
 
 def test_pseudoconvexity_report_fields():
