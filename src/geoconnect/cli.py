@@ -20,7 +20,7 @@ from .config import load_model_config
 from .connect import ConnectConfig, connect, connect_report, render_report
 from .errors import ConfigError, GeoError, UnknownModel
 from .geodesic import IntegratorConfig, integrate_geodesic
-from .jacobi import conjugate_locus_sample
+from .jacobi import _seeded_directions, conjugate_locus_sample
 from .manifold import ManifoldModel, ScalarField, Tangent
 from .models import list_models, model_registry
 from .probes import (
@@ -133,6 +133,8 @@ def cmd_models(args) -> int:
 def cmd_shoot(args) -> int:
     model = _resolve_model(args)
     vel = _model_vector(model, args.vel, "--vel")
+    if args.samples is not None and args.samples < 0:
+        raise argparse.ArgumentTypeError(f"argument --samples: {args.samples} is negative")
     path = integrate_geodesic(model, args.point, vel, _integrator(args), t_max=args.tmax)
     n = model.dim
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
@@ -231,11 +233,8 @@ def cmd_probe(args) -> int:
         }
         ok = verdict.summary != "Violation"
     elif kind == "disprison":
-        rng = np.random.default_rng(args.seed)
-        seeds = []
-        for _ in range(args.count):
-            v = rng.standard_normal(model.dim)
-            seeds.append(Tangent.of(args.point, v / np.linalg.norm(v)))
+        seeds = [Tangent.of(args.point, u)
+                 for u in _seeded_directions(np.eye(model.dim), args.count, args.seed)]
         out = disprisonment_probe(model, seeds, horizon=args.tmax,
                                   cfg=_integrator(args))
         ok = True

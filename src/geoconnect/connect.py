@@ -325,12 +325,12 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
     if np.allclose(p, q, atol=cfg.connect_tol * 1e-3):
         return LiftOutcome("Connected", np.zeros_like(p), [], {})
     # fast path: q inside the normal neighborhood of p
-    flag, v, frame, _, _ = _log_newton(model, p, q, cfg)
+    flag, v, frame, residual, _ = _log_newton(model, p, q, cfg)
     if flag == "ok" and _ray_is_regular(frame):
         return LiftOutcome("Connected", v, [{
             "t": float(np.linalg.norm(q - p)),
             "v": v.tolist(),
-            "residual": 0.0,
+            "residual": residual,
             "min_singular_value": frame.min_singular_value,
         }], {"method": "local_log"})
     base = _aux_path(model, p, q, cfg) if cfg.path_kind == "aux" else _segment_path(p, q)

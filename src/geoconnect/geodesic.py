@@ -206,15 +206,25 @@ class IntegratorConfig:
         return replace(self, **kw)
 
 
-class _StepCounts:
-    """Integrator work behind a path with node times ``ts`` and ``rejected`` trial steps.
+@dataclass
+class GeodesicPath:
+    """Integrated ray: node times, states whose first 2n entries are the chart
+    position and velocity, typed termination and the integrator's work.
 
     A path without dense output was not integrated and counts no work.
     """
 
-    ts: np.ndarray
-    sol: Optional[DenseSolution]
-    rejected: int
+    model: ManifoldModel
+    ts: np.ndarray            # accepted step times, strictly monotone from 0
+    states: np.ndarray        # (len(ts), 2n + extra): position, velocity, extra
+    termination: Termination
+    term_time: float
+    sol: Optional[DenseSolution] = None
+    rejected: int = 0         # rejected trial steps
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
 
     @property
     def steps(self) -> int:
@@ -226,25 +236,10 @@ class _StepCounts:
         """Right-hand-side calls: the initial slope, the first-step probe, six per attempt."""
         return 2 + 6 * (self.steps + self.rejected) if self.steps else 0
 
-
-@dataclass
-class GeodesicPath(_StepCounts):
-    model: ManifoldModel
-    ts: np.ndarray            # accepted step times, strictly monotone from 0
-    states: np.ndarray        # (len(ts), 2n): chart position and velocity
-    termination: Termination
-    term_time: float
-    sol: Optional[DenseSolution] = None
-    rejected: int = 0         # rejected trial steps
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
-
     @property
     def nodes(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
         n = self.dim
-        return [(float(t), s[:n], s[n:]) for t, s in zip(self.ts, self.states)]
+        return [(float(t), s[:n], s[n:2 * n]) for t, s in zip(self.ts, self.states)]
 
     def state(self, t: float) -> np.ndarray:
         if self.sol is None:
@@ -255,15 +250,11 @@ class GeodesicPath(_StepCounts):
         return self.state(t)[: self.dim]
 
     def velocity(self, t: float) -> np.ndarray:
-        return self.state(t)[self.dim:]
+        return self.state(t)[self.dim:2 * self.dim]
 
     @property
     def endpoint(self) -> np.ndarray:
         return self.states[-1, : self.dim]
-
-    @property
-    def end_velocity(self) -> np.ndarray:
-        return self.states[-1, self.dim:]
 
 
 def _initial_step(rhs: Callable, y0: np.ndarray, f0: np.ndarray, t_end: float,
@@ -434,7 +425,7 @@ def integrate_geodesic(
     y0 = np.concatenate([p0, v0])
     if t_end == 0.0 or not np.any(v0):
         # stationary or zero-horizon: trivial path
-        ts = np.array([0.0, t_end]) if t_end > 0 else np.array([0.0])
+        ts = np.array([0.0, t_end]) if t_end != 0.0 else np.array([0.0])
         states = np.tile(y0, (len(ts), 1))
         return GeodesicPath(model, ts, states, Termination.REACHED_TMAX, t_end, None)
     blow = cfg.blowup_norm
@@ -479,9 +470,6 @@ def energy(model: ManifoldModel, x: np.ndarray, v: np.ndarray) -> float:
 
 def energy_drift(path: GeodesicPath) -> float:
     """Max deviation of g(x', x') from its initial value over the path nodes."""
-    n = path.dim
-    e0 = energy(path.model, path.states[0, :n], path.states[0, n:])
-    worst = 0.0
-    for s in path.states:
-        worst = max(worst, abs(energy(path.model, s[:n], s[n:]) - e0))
-    return worst
+    nodes = path.nodes
+    e0 = energy(path.model, *nodes[0][1:])
+    return max(abs(energy(path.model, x, v) - e0) for _, x, v in nodes)

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure
 from .geodesic import (
-    DenseSolution, IntegratorConfig, Monitor, Termination, _integrate, _StepCounts,
-    chart_exit_monitors,
+    GeodesicPath, IntegratorConfig, Monitor, Termination, _integrate, chart_exit_monitors,
 )
 from .manifold import (
     ManifoldModel, causal_sign, central_difference, check_tangent,
@@ -56,20 +55,9 @@ class DifferentialFrame:
     ray: Callable[[float], np.ndarray]   # t -> d(exp_p)_{tv} on (0, 1]; ray(1.0) is matrix
 
 
-@dataclass
-class VariationalPath(_StepCounts):
-    """Base geodesic plus the matrix Jacobi solution J with J(0)=0, J'(0)=I."""
-
-    model: ManifoldModel
-    ts: np.ndarray
-    sol: DenseSolution
-    termination: Termination
-    term_time: float
-    rejected: int = 0         # rejected trial steps
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
+class VariationalPath(GeodesicPath):
+    """Base geodesic plus the matrix Jacobi solution J with J(0)=0, J'(0)=I; each
+    state is (x, v, J, J') with J and J' flattened row-major."""
 
     def split(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = self.dim
@@ -141,7 +129,7 @@ def integrate_variational(
         monitors.append((_conjugate_monitor(n, singular_tol), Termination.CONJUGATE_POINT))
     ts, ys, sol, term, t_term, rejected = _integrate(
         _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps, monitors)
-    return VariationalPath(model, ts, sol, term, t_term, rejected)
+    return VariationalPath(model, ts, ys, term, t_term, sol, rejected)
 
 
 def _wrap_near(model: ManifoldModel, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -247,6 +235,25 @@ def first_conjugate_time(
     return _first_conjugate_scan(model, p, u, t_max, cfg)[0]
 
 
+def _sweep_directions(E: np.ndarray, count: int, offset: float) -> np.ndarray:
+    """(count, n) even sweep cos(a) E[:, 0] + sin(a) E[:, 1], a = (k + offset) 2 pi / count."""
+    a = (np.arange(count) + offset) * 2.0 * np.pi / count
+    return np.cos(a)[:, None] * E[:, 0] + np.sin(a)[:, None] * E[:, 1]
+
+
+def _seeded_directions(E: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """(count, n) directions E z / |z|, z standard normal from ``default_rng(seed)``."""
+    zs = np.random.default_rng(seed).standard_normal((max(count, 0), E.shape[1]))
+    return np.array([E @ (z / np.linalg.norm(z)) for z in zs]).reshape(-1, E.shape[0])
+
+
+def _boost(es: np.ndarray, et: np.ndarray, chi: float, timelike: bool = False) -> np.ndarray:
+    """Unit boost of (es, et) by chi: spacelike cosh es + sinh et, timelike sinh es + cosh et."""
+    if timelike:
+        return np.sinh(chi) * es + np.cosh(chi) * et
+    return np.cosh(chi) * es + np.sinh(chi) * et
+
+
 def direction_grid(model: ManifoldModel, p, count: int) -> list[dict]:
     """Direction sample at p, stratified by causal class on indefinite models.
 
@@ -256,38 +263,19 @@ def direction_grid(model: ManifoldModel, p, count: int) -> list[dict]:
     """
     p = np.asarray(p, dtype=float)
     E, signs = orthonormal_frame(model, p)
-    n = model.dim
-    rows: list[dict] = []
     if model.is_riemannian:
-        if n == 2:
-            angles = (np.arange(count) + DIRECTION_OFFSET) * 2.0 * np.pi / count
-            for a in angles:
-                u = np.cos(a) * E[:, 0] + np.sin(a) * E[:, 1]
-                rows.append({"u": u, "causal_class": "spacelike"})
-        else:
-            rng = np.random.default_rng(20240501)
-            for _ in range(count):
-                z = rng.standard_normal(n)
-                u = E @ (z / np.linalg.norm(z))
-                rows.append({"u": u, "causal_class": "spacelike"})
-        return rows
+        us = (_sweep_directions(E, count, DIRECTION_OFFSET) if model.dim == 2
+              else _seeded_directions(E, count, 20240501))
+        return [{"u": u, "causal_class": "spacelike"} for u in us]
     # indefinite surface: one boost parameter per causal family
-    space_cols = np.flatnonzero(signs == 1)
-    time_cols = np.flatnonzero(signs == -1)
-    es = E[:, space_cols[0]]
-    et = E[:, time_cols[0]]
-    per = max(count // 4, 1)
-    chis = np.linspace(-BOOST_RANGE, BOOST_RANGE, per)
-    for chi in chis:
+    es = E[:, np.flatnonzero(signs == 1)[0]]
+    et = E[:, np.flatnonzero(signs == -1)[0]]
+    rows: list[dict] = []
+    for chi in np.linspace(-BOOST_RANGE, BOOST_RANGE, max(count // 4, 1)):
         for sgn in (1.0, -1.0):
-            rows.append({
-                "u": sgn * (np.cosh(chi) * es + np.sinh(chi) * et),
-                "causal_class": "spacelike",
-            })
-            rows.append({
-                "u": sgn * (np.sinh(chi) * es + np.cosh(chi) * et),
-                "causal_class": "timelike",
-            })
+            rows.append({"u": sgn * _boost(es, et, chi), "causal_class": "spacelike"})
+            rows.append({"u": sgn * _boost(es, et, chi, timelike=True),
+                         "causal_class": "timelike"})
     for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         rows.append({
             "u": (su * es + sv * et) / np.sqrt(2.0),
@@ -332,7 +320,7 @@ def _locus_rays(model: ManifoldModel, p, grid: list[dict], t_max: float,
             if t_star is None:
                 row.update(t_star=None, point=None, status="none")
             else:
-                cp = var.sol(t_star)[: model.dim]
+                cp = var.endpoint
                 row.update(t_star=float(t_star), point=cp, status="conjugate")
                 pts.append(embedding_point(model, cp))
         rows.append(row)

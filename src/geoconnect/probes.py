@@ -14,8 +14,10 @@ import numpy as np
 
 from .errors import DomainEscape, StepSizeUnderflow
 from .geodesic import IntegratorConfig, Termination, exp, integrate_geodesic
-from .jacobi import integrate_variational
-from .manifold import ManifoldModel, ScalarField, Tangent, embedding_point, orthonormal_frame
+from .jacobi import _boost, _seeded_directions, _sweep_directions, integrate_variational
+from .manifold import (
+    ManifoldModel, ScalarField, Tangent, check_tangent, embedding_point, orthonormal_frame,
+)
 
 __all__ = [
     "ProbeConfig", "ProbeCurve", "ProbeCurveFamily", "ProbeVerdict",
@@ -67,19 +69,12 @@ def radial_ray_family(model: ManifoldModel, p, count: int = 16,
                       norm_cap: float = 1e3) -> ProbeCurveFamily:
     """Rays t -> t*u escaping to the norm cap."""
     E, _ = orthonormal_frame(model, p)
-    n = model.dim
-    rng = np.random.default_rng(711)
+    us = (_sweep_directions(E, count, 0.5) if model.dim == 2
+          else _seeded_directions(E, count, 711))
     schedule = np.geomspace(1e-2, 1.05 * norm_cap, RADIAL_SAMPLES)
-    curves = []
-    for i in range(count):
-        if n == 2:
-            a = 2.0 * np.pi * (i + 0.5) / count
-            u = np.cos(a) * E[:, 0] + np.sin(a) * E[:, 1]
-        else:
-            z = rng.standard_normal(n)
-            u = E @ (z / np.linalg.norm(z))
-        curves.append(ProbeCurve(f"ray-{i}", lambda t, u=u: t * u, schedule.copy()))
-    return ProbeCurveFamily("radial", curves)
+    return ProbeCurveFamily("radial", [
+        ProbeCurve(f"ray-{i}", lambda t, u=u: t * u, schedule.copy())
+        for i, u in enumerate(us)])
 
 
 def spiral_family(model: ManifoldModel, p, count: int = 8,
@@ -112,15 +107,12 @@ def hyperboloid_sweep_family(model: ManifoldModel, p, gnorm: float,
     et = E[:, np.flatnonzero(signs == -1)[0]]
     chi_max = np.arccosh(max(1.05 * norm_cap / (gnorm * max(np.linalg.norm(es), 1e-12)), 2.0))
     schedule = np.linspace(0.0, chi_max, SWEEP_SAMPLES)
-
-    if causal == "spacelike":
-        def alpha(chi):
-            return gnorm * (np.cosh(chi) * es + np.sinh(chi) * et)
-    elif causal == "timelike":
-        def alpha(chi):
-            return gnorm * (np.sinh(chi) * es + np.cosh(chi) * et)
-    else:
+    if causal not in ("spacelike", "timelike"):
         raise ValueError("causal must be 'spacelike' or 'timelike'")
+
+    def alpha(chi):
+        return gnorm * _boost(es, et, chi, causal == "timelike")
+
     return ProbeCurveFamily(
         f"hyperboloid-{causal}-{gnorm:g}",
         [ProbeCurve(f"sweep-{causal}-{gnorm:g}", alpha, schedule)],
@@ -195,12 +187,14 @@ def weak_properness_probe(model: ManifoldModel, p, family: ProbeCurveFamily,
 def disprisonment_probe(model: ManifoldModel, seeds: Sequence[Tangent],
                         horizon: float = 20.0,
                         cfg: IntegratorConfig | None = None) -> dict:
-    """Integrate maximal geodesics both ways; report exhaustion-box escape."""
+    """Integrate maximal geodesics both ways; report exhaustion-box escape.
+
+    Raises OutOfChart or ValueError, before any integration, for a seed that
+    is not a tangent vector at a point inside the chart."""
     cfg = cfg or IntegratorConfig()
+    tangents = [check_tangent(model, seed.base_array, seed.vec_array) for seed in seeds]
     rows = []
-    for k, seed in enumerate(seeds):
-        p = seed.base_array
-        v = seed.vec_array
+    for k, (p, v) in enumerate(tangents):
         extents = {}
         terms = {}
         center = embedding_point(model, p)
@@ -389,13 +383,13 @@ def gauss_lemma_check(model: ManifoldModel, p, r_values: Sequence[float],
     E, _ = orthonormal_frame(model, p)
     r_values = np.asarray(r_values, dtype=float)
     r_max = float(r_values.max())
+    ws = _sweep_directions(E, direction_count, 0.37)
+    # the same sweep of the frame turned a quarter turn: w' is w rotated by pi/2
+    wps = _sweep_directions(np.column_stack([E[:, 1], -E[:, 0]]), direction_count, 0.37)
     rows = []
     worst_radial = 0.0
     worst_ortho = 0.0
-    for j in range(direction_count):
-        s = 2.0 * np.pi * (j + 0.37) / direction_count
-        w = np.cos(s) * E[:, 0] + np.sin(s) * E[:, 1]
-        wp = -np.sin(s) * E[:, 0] + np.cos(s) * E[:, 1]
+    for j, (w, wp) in enumerate(zip(ws, wps)):
         try:
             var = integrate_variational(model, p, w, t_max=r_max, cfg=cfg)
         except StepSizeUnderflow:

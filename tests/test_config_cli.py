@@ -176,6 +176,19 @@ def test_cli_shoot_backward(capsys):
     assert "termination: ReachedTmax at t = -1" in captured.err
 
 
+def test_cli_shoot_negative_samples_is_a_usage_error(capsys):
+    argv = ["shoot", "--model", "sphere2", "--from", "1,0.3", "--vel", "1,1"]
+    assert main([*argv, "--samples", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "geoconnect: error: argument --samples: -3 is negative\n"
+    # zero samples still prints the integrator's nodes
+    assert main(argv) == 0
+    nodes = capsys.readouterr().out
+    assert main([*argv, "--samples", "0"]) == 0
+    assert capsys.readouterr().out == nodes and len(nodes.splitlines()) > 3
+
+
 def test_cli_conj_locus_zero_horizon(capsys):
     rc = main(["conj-locus", "--model", "sphere2", "--point", "1.3,0.4",
                "--count", "4", "--tmax", "0", "--refine", "0"])
@@ -321,6 +334,16 @@ def test_cli_probe_schema_and_exit_codes(capsys):
                "--count", "8", "--tmax", "2"])
     assert rc == 0
     jsonschema.validate(json.loads(capsys.readouterr().out), schema)
+
+
+def test_cli_disprison_point_of_the_wrong_length(capsys):
+    rc = main(["probe", "--model", "sphere2", "--kind", "disprison",
+               "--point", "1,0.3,2", "--count", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("geoconnect: expected 2 coordinates")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_probe_report_is_finite_json(capsys):

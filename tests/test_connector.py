@@ -9,7 +9,7 @@ from geoconnect import (
     conjugate_locus_sample, exp, local_log, model_registry, render_report,
 )
 from geoconnect.connect import (
-    CORRECTOR_TOL, NEWTON_ITERATIONS, SV_FLOOR, _bumped_path, _newton, _segment_path,
+    CORRECTOR_TOL, LOG_TOL, NEWTON_ITERATIONS, SV_FLOOR, _bumped_path, _newton, _segment_path,
 )
 from geoconnect.errors import OutOfChart
 
@@ -230,6 +230,16 @@ def test_fast_path_trace_has_finite_singular_value():
     assert out.witness == {"method": "local_log"}
     assert np.isfinite(out.lift_trace[0]["min_singular_value"])
     assert out.lift_trace[0]["min_singular_value"] > 0.0
+
+
+def test_fast_path_trace_records_the_newton_residual():
+    s = model_registry("sphere2")
+    p, q = np.array([1.2, 0.1]), np.array([1.5, 0.4])
+    out = connect(s, p, q)
+    assert out.witness == {"method": "local_log"}
+    residual = out.lift_trace[0]["residual"]
+    assert 0.0 < residual < LOG_TOL    # Newton's last residual, not a placeholder 0
+    assert connect_report(s, out, p, q)["max_residual"] == residual
 
 
 @pytest.mark.parametrize("name, p, q", [

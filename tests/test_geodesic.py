@@ -323,6 +323,17 @@ def test_zero_horizon_is_the_start():
     assert jacobi.first_conjugate_time(s, p, v, t_max=0.0) is None
 
 
+def test_zero_velocity_path_spans_its_horizon():
+    """A stationary path has the nodes 0 and t_max for either sign of t_max."""
+    s = model_registry("sphere2")
+    p = np.array([1.0, 0.3])
+    for t_max in (2.0, -2.0):
+        path = integrate_geodesic(s, p, np.zeros(2), t_max=t_max)
+        assert path.ts.tolist() == [0.0, t_max] and path.term_time == t_max
+        assert np.array_equal(path.states, [[1.0, 0.3, 0.0, 0.0]] * 2)
+        assert (path.steps, path.rhs_evals) == (0, 0)
+
+
 def test_integrator_config_with():
     cfg = IntegratorConfig()
     cfg2 = cfg.with_(rtol=1e-6)

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from geoconnect import (
-    DomainEscape, IntegratorConfig, Termination, conjugate_locus_sample,
-    dexp_matrix, exp, first_conjugate_time, integrate_variational,
-    model_registry, normalize_direction,
+    DomainEscape, GeodesicPath, IntegratorConfig, energy_drift, Termination, conjugate_locus_sample,
+    dexp_matrix, exp, first_conjugate_time, hyperboloid_sweep_family, integrate_variational,
+    model_registry, normalize_direction, radial_ray_family,
 )
 from geoconnect import jacobi
 from geoconnect.geodesic import _integrate
 from geoconnect.jacobi import (
-    SINGULAR_TOL, _conjugate_monitor, _first_conjugate_scan, _wrap_delta,
+    BOOST_RANGE, SINGULAR_TOL, _conjugate_monitor, _first_conjugate_scan, _wrap_delta,
     component_of_point, direction_grid,
 )
 from geoconnect.errors import OutOfChart
@@ -231,6 +231,44 @@ def test_direction_grid_stratification():
     rows = direction_grid(s, np.array([1.0, 0.0]), 16)
     assert len(rows) == 16
     assert all(r["causal_class"] == "spacelike" for r in rows)
+
+
+def test_radial_rays_are_the_direction_grid():
+    """Both surface families come from the one sweep at the same offset."""
+    s = model_registry("sphere2")
+    p = np.array([1.1, 0.4])
+    rays = [curve.alpha(1.0) for curve in radial_ray_family(s, p, 16).curves]
+    grid = [row["u"] for row in direction_grid(s, p, 16)]
+    assert len(rays) == len(grid) == 16
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rays, grid))
+
+
+def test_hyperboloid_sweep_is_the_grid_boost():
+    d = model_registry("desitter", n=2)
+    p = np.array([0.3, 0.2])
+    gnorm = 1.7
+    rows = direction_grid(d, p, 32)
+    chis = np.linspace(-BOOST_RANGE, BOOST_RANGE, 8)
+    for causal, offset in (("spacelike", 0), ("timelike", 1)):
+        alpha = hyperboloid_sweep_family(d, p, gnorm, causal).curves[0].alpha
+        for k, chi in enumerate(chis):
+            row = rows[4 * k + offset]
+            assert row["causal_class"] == causal
+            assert np.array_equal(alpha(chi), gnorm * row["u"])
+
+
+def test_conjugate_scan_path_is_a_geodesic_path():
+    s = model_registry("sphere2")
+    p = np.array([1.1, 0.4])
+    u = normalize_direction(s, p, np.array([0.3, 1.0]))
+    t_star, var = _first_conjugate_scan(s, p, u, 4.0, None)
+    assert isinstance(var, GeodesicPath) and t_star == pytest.approx(np.pi, abs=1e-6)
+    assert var.endpoint.tobytes() == var.sol(t_star)[:2].tobytes()
+    assert np.array_equal(var.point(t_star), var.endpoint)
+    x, v, _ = var.split(0.5)
+    assert np.array_equal(var.point(0.5), x) and np.array_equal(var.velocity(0.5), v)
+    assert [node[2].shape for node in var.nodes] == [(2,)] * len(var.ts)
+    assert energy_drift(var) < 1e-8
 
 
 def test_sphere_locus_clusters_to_antipode():

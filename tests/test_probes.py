@@ -81,6 +81,18 @@ def test_disprisonment_sphere_vs_plane():
     assert rep["rows"][0]["verdict"] == "disprisoned_sampled"
 
 
+def test_disprisonment_checks_every_seed_before_integrating(monkeypatch):
+    s = model_registry("sphere2")
+    calls = []
+    monkeypatch.setattr(probes, "integrate_geodesic", lambda *a, **k: calls.append(a))
+    good = Tangent.of([1.0, 0.3], [0.6, 0.8])
+    with pytest.raises(OutOfChart):
+        disprisonment_probe(s, [good, Tangent.of([1.0, 0.3, 2.0], [0.6, 0.8])])
+    with pytest.raises(ValueError, match="components"):
+        disprisonment_probe(s, [good, Tangent.of([1.0, 0.3], [0.6, 0.8, 0.0])])
+    assert calls == []
+
+
 def test_disprisonment_finite_escape():
     cp = model_registry("clifton_pohl")
     rep = disprisonment_probe(cp, [Tangent.of([1.0, 0.0], [1.0, 0.0])],
