@@ -68,11 +68,20 @@ def _finite(text: str) -> float:
     return x
 
 
-def _tolerance(text: str) -> float:
+def _positive(text: str) -> float:
     x = _finite(text)
-    if not x > 0.0:   # atol is set to rtol / 100, which must stay positive
+    if not x > 0.0:
         raise argparse.ArgumentTypeError(f"{text!r} is not positive")
     return x
+
+
+def _check_counts(args) -> None:
+    """A negative --samples or --refine, or a --count below 1, is a usage error."""
+    for flag, least in (("samples", 0), ("count", 1), ("refine", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise argparse.ArgumentTypeError(
+                f"argument --{flag}: {value} is {'negative' if least == 0 else 'not positive'}")
 
 
 def _fmt(values) -> str:
@@ -112,7 +121,8 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--model", help="builtin model name")
     p.add_argument("--dim", type=int, help="dimension for parameterizable models")
     p.add_argument("--config", help="INI model configuration file")
-    p.add_argument("--rtol", type=_tolerance, help="integrator relative tolerance")
+    # atol is set to rtol / 100, which must stay positive
+    p.add_argument("--rtol", type=_positive, help="integrator relative tolerance")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled subcommands")
 
 
@@ -133,8 +143,6 @@ def cmd_models(args) -> int:
 def cmd_shoot(args) -> int:
     model = _resolve_model(args)
     vel = _model_vector(model, args.vel, "--vel")
-    if args.samples is not None and args.samples < 0:
-        raise argparse.ArgumentTypeError(f"argument --samples: {args.samples} is negative")
     path = integrate_geodesic(model, args.point, vel, _integrator(args), t_max=args.tmax)
     n = model.dim
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
@@ -253,6 +261,9 @@ def cmd_probe(args) -> int:
         out = _run_convex(model, args)
         ok = out["verdict"] == "pass"
     elif kind == "gauss":
+        if not model.is_riemannian:
+            raise argparse.ArgumentTypeError(
+                f"argument --kind: gauss needs a Riemannian model, not {model.name}")
         rs = np.linspace(args.tmax / 32.0, args.tmax, 32)
         out = gauss_lemma_check(model, args.point, rs, direction_count=32,
                                 cfg=_integrator(args))
@@ -336,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("--point", type=_vector, default=None)
     p.add_argument("--family",
                    choices=["radial", "spiral", "hyperboloid", "polyline"])
-    p.add_argument("--gnorm", type=_finite, default=float(np.pi))
+    p.add_argument("--gnorm", type=_positive, default=float(np.pi))
     p.add_argument("--waypoints", help="semicolon-separated tangent waypoints")
     p.add_argument("--box", help="K as 'lo1,lo2,..;hi1,hi2,..'")
     p.add_argument("--f", help="scalar field expression in x1..xn")
@@ -361,6 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"--point is required for --kind {args.kind}")
         args.point = None
     try:
+        _check_counts(args)
         return args.fn(args)
     except (ConfigError, UnknownModel, dsl.ParseError) as err:
         print(f"geoconnect: model error: {err}", file=sys.stderr)

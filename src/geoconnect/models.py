@@ -1,8 +1,9 @@
 """Built-in manifold models and the model registry.
 
-Closed-form geodesic oracles are provided for the round sphere (polar
-chart) and de Sitter space (hyperboloid chart); both work in embedding
-coordinates and convert back to the chart.
+Closed-form geodesic oracles are provided for the round sphere S^n
+(hyperspherical chart; ``sphere2`` is its polar chart at n = 2) and de Sitter
+space (hyperboloid chart); both work in embedding coordinates and convert
+back to the chart.
 """
 from __future__ import annotations
 
@@ -19,29 +20,16 @@ __all__ = ["model_registry", "list_models", "BUILTIN_MODELS"]
 # ---------------------------------------------------------------------------
 # flat models
 
-def _euclidean(n: int = 3) -> ManifoldModel:
-    eye = np.eye(n)
+def _flat(name: str, n: int, timelike: int) -> ManifoldModel:
+    """R^n with the metric diag(1, .., 1, -1, .., -1), the ``timelike`` -1 entries last."""
+    signature = (1,) * (n - timelike) + (-1,) * timelike
+    g = np.diag(np.array(signature, dtype=float))
     zeros = np.zeros((n, n, n))
     dzeros = np.zeros((n, n, n, n))
     return ManifoldModel(
-        name=f"euclidean({n})",
+        name=f"{name}({n})",
         dim=n,
-        signature=(1,) * n,
-        domain=ChartDomain.unbounded(n),
-        metric=lambda x: eye,
-        christoffel=lambda x: zeros,
-        christoffel_deriv=lambda x: dzeros,
-    )
-
-
-def _minkowski(n: int = 2) -> ManifoldModel:
-    g = np.diag([1.0] * (n - 1) + [-1.0])
-    zeros = np.zeros((n, n, n))
-    dzeros = np.zeros((n, n, n, n))
-    return ManifoldModel(
-        name=f"minkowski({n})",
-        dim=n,
-        signature=(1,) * (n - 1) + (-1,),
+        signature=signature,
         domain=ChartDomain.unbounded(n),
         metric=lambda x: g,
         christoffel=lambda x: zeros,
@@ -49,51 +37,12 @@ def _minkowski(n: int = 2) -> ManifoldModel:
     )
 
 
-# ---------------------------------------------------------------------------
-# round sphere, polar chart (theta, phi), theta in (0, pi)
-
-def _sphere_metric(x: np.ndarray) -> np.ndarray:
-    return np.diag([1.0, np.sin(x[0]) ** 2])
+def _euclidean(n: int = 3) -> ManifoldModel:
+    return _flat("euclidean", n, 0)
 
 
-def _sphere_christoffel(x: np.ndarray) -> np.ndarray:
-    th = x[0]
-    g = np.zeros((2, 2, 2))
-    g[0, 1, 1] = -np.sin(th) * np.cos(th)
-    cot = np.cos(th) / np.sin(th)
-    g[1, 0, 1] = cot
-    g[1, 1, 0] = cot
-    return g
-
-
-def _sphere_christoffel_deriv(x: np.ndarray) -> np.ndarray:
-    th = x[0]
-    d = np.zeros((2, 2, 2, 2))
-    d[0, 0, 1, 1] = -np.cos(2.0 * th)
-    s2 = -1.0 / np.sin(th) ** 2
-    d[0, 1, 0, 1] = s2
-    d[0, 1, 1, 0] = s2
-    return d
-
-
-def _sphere_embed(x: np.ndarray) -> np.ndarray:
-    th, ph = x
-    return np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-
-
-def _sphere_chart(X: np.ndarray) -> np.ndarray:
-    th = np.arccos(np.clip(X[2], -1.0, 1.0))
-    ph = np.arctan2(X[1], X[0])
-    return np.array([th, ph])
-
-
-def _sphere_embed_jac(x: np.ndarray) -> np.ndarray:
-    th, ph = x
-    return np.array([
-        [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)],
-        [np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph)],
-        [-np.sin(th), 0.0],
-    ])
+def _minkowski(n: int = 2) -> ManifoldModel:
+    return _flat("minkowski", n, 1)
 
 
 class _QuadricOracle:
@@ -139,23 +88,6 @@ class _QuadricOracle:
         return self._chart(self.point_embedding(p, v, t))
 
 
-def _sphere2() -> ManifoldModel:
-    return ManifoldModel(
-        name="sphere2",
-        dim=2,
-        signature=(1, 1),
-        domain=ChartDomain(np.array([0.0, -np.inf]), np.array([np.pi, np.inf])),
-        metric=_sphere_metric,
-        christoffel=_sphere_christoffel,
-        christoffel_deriv=_sphere_christoffel_deriv,
-        oracle=_QuadricOracle(_sphere_metric, _sphere_embed, _sphere_embed_jac,
-                              _sphere_chart),
-        embedding=_sphere_embed,
-        embedding_jac=_sphere_embed_jac,
-        metadata={"periodic": {1: 2.0 * np.pi}},
-    )
-
-
 # ---------------------------------------------------------------------------
 # hyperbolic plane, upper half-plane chart
 
@@ -197,19 +129,24 @@ def _hyperbolic2() -> ManifoldModel:
 
 
 # ---------------------------------------------------------------------------
-# de Sitter space: hyperboloid sum(x_i^2) - x_{n+1}^2 = 1 in Minkowski(n+1).
-# Chart coordinates (theta_1..theta_{n-1}, tau) with
-#   X_{1..n} = cosh(tau) * Omega(theta),   X_{n+1} = sinh(tau),
-# where Omega is the hyperspherical embedding of S^{n-1}.
+# the unit sphere S^m in hyperspherical angles (theta_0..theta_{m-1}):
+#   Omega = (cos theta_0, sin theta_0 cos theta_1, ..., sin theta_0 ... sin theta_{m-1}),
+# with metric diag(s_0..s_{m-1}), s_0 = 1 and s_i = prod_{j<i} sin^2(theta_j).
+# The nonzero Christoffel symbols are
+#   Gamma^k_ii = -(s_i/s_k) cot(theta_k),     Gamma^i_{ik} = cot(theta_k)   (k < i),
+# with s_i/s_k cot(theta_k) written as sin cos(theta_k) prod_{k<j<i} sin^2(theta_j)
+# so that it stays finite at the poles.  theta_{m-1} never enters the metric.
+# S^n and de Sitter space dS^n, whose angular block is S^{n-1} warped by
+# cosh^2(tau), share these pieces.
 
-def _hypersphere_embed(angles: np.ndarray) -> np.ndarray:
-    m = len(angles)
-    out = np.empty(m + 1)
+def _hypersphere_coords(angles: list) -> list:
+    """Omega(theta) as m + 1 floats."""
+    out = []
     s = 1.0
-    for i in range(m):
-        out[i] = s * np.cos(angles[i])
-        s *= np.sin(angles[i])
-    out[m] = s
+    for a in angles:
+        out.append(s * math.cos(a))
+        s *= math.sin(a)
+    out.append(s)
     return out
 
 
@@ -223,177 +160,221 @@ def _hypersphere_chart(omega: np.ndarray) -> np.ndarray:
     return angles
 
 
-def _hypersphere_metric_diag(angles: np.ndarray) -> np.ndarray:
-    m = len(angles)
-    diag = np.empty(m)
-    s = 1.0
-    for i in range(m):
-        diag[i] = s
-        s *= np.sin(angles[i]) ** 2
+def _hypersphere_metric_diag(angles: list) -> list:
+    """s_0..s_{m-1}."""
+    diag = [1.0]
+    for a in angles[:-1]:
+        diag.append(diag[-1] * math.sin(a) ** 2)
     return diag
 
 
-def _desitter_metric(n: int):
+def _hypersphere_jac_rows(angles: list) -> list:
+    """d Omega / d theta as m + 1 rows, products expanded to stay exact at the poles."""
+    m = len(angles)
+    sin = [math.sin(a) for a in angles]
+    cos = [math.cos(a) for a in angles]
+    rows = [[0.0] * m for _ in range(m + 1)]
+    head = 1.0                      # prod_{j<i} sin(theta_j)
+    for i in range(m):
+        # d/d theta_i of row k is the product over j < k with the theta_i factor
+        # differentiated, times cos(theta_k) for k < m
+        rows[i][i] = head * -sin[i]
+        prod = head * cos[i]
+        for k in range(i + 1, m):
+            rows[k][i] = prod * cos[k]
+            prod *= sin[k]
+        rows[m][i] = prod
+        head *= sin[i]
+    return rows
+
+
+def _sin2_prod(sin2: list, lo: int, hi: int, skip: int = -1) -> float:
+    """Product of sin2[j] over lo <= j < hi, j != skip."""
+    p = 1.0
+    for j in range(lo, hi):
+        if j != skip:
+            p *= sin2[j]
+    return p
+
+
+def _hypersphere_christoffel(g: np.ndarray, angles: list, count: int) -> list:
+    """Write Gamma^k_ii and Gamma^i_ik = Gamma^i_ki (k < i) into g from the angles
+    that enter the metric, theta_0..theta_{m-2} = angles[:count]; return their sin^2.
+
+    k runs down, so sin^2(theta_j) for j > k is known when row k needs it."""
+    sin2 = [0.0] * count
+    k = count
+    while k:
+        k -= 1
+        k1 = k + 1
+        sin, cos = math.sin(angles[k]), math.cos(angles[k])
+        sin2[k] = sin * sin
+        gk, cot = -sin * cos, cos / sin
+        g[k, k1, k1] = gk
+        g[k1, k1, k] = g[k1, k, k1] = cot
+        for i in range(k1 + 1, count + 1):
+            gk *= sin2[i - 1]
+            g[k, i, i] = gk
+            g[i, i, k] = g[i, k, i] = cot
+    return sin2
+
+
+def _hypersphere_christoffel_deriv(d: np.ndarray, angles: list, count: int) -> list:
+    """Write the theta-derivatives of the symbols above into d, d[l, k, i, j] =
+    d Gamma^k_ij / d x_l, from the same angles; return their sin^2."""
+    sin2 = [0.0] * count
+    k = count
+    while k:
+        k -= 1
+        k1 = k + 1
+        a = angles[k]
+        sin2[k] = s2 = math.sin(a) ** 2
+        # Gamma^k_ii = -sin(2 theta_k)/2 prod_{k<j<i} sin^2(theta_j), Gamma^i_ik = cot(theta_k)
+        dgk, dcot = -math.cos(2.0 * a), -1.0 / s2
+        d[k, k, k1, k1] = dgk
+        d[k, k1, k1, k] = d[k, k1, k, k1] = dcot
+        p = 1.0
+        for i in range(k1 + 1, count + 1):
+            p *= sin2[i - 1]
+            d[k, k, i, i] = dgk * p
+            d[k, i, i, k] = d[k, i, k, i] = dcot
+            for l in range(k1, i):
+                d[l, k, i, i] = (-0.5 * math.sin(2.0 * a) * math.sin(2.0 * angles[l])
+                                 * _sin2_prod(sin2, k1, i, l))
+    return sin2
+
+
+# ---------------------------------------------------------------------------
+# round sphere S^n, embedded as Omega with the cos(theta_0) coordinate last, so
+# that sphere(2) is the polar chart (theta, phi) about the third axis
+
+def _sphere(n: int = 2) -> ManifoldModel:
+    if n < 2:
+        raise UnknownModel(f"sphere({n})")
+    shape3, shape4 = (n, n, n), (n, n, n, n)
+
     def metric(x: np.ndarray) -> np.ndarray:
-        tau = x[-1]
-        diag = np.empty(n)
-        diag[:-1] = np.cosh(tau) ** 2 * _hypersphere_metric_diag(x[:-1])
-        diag[-1] = -1.0
-        return np.diag(diag)
-    return metric
-
-
-# Christoffel symbols of the warped product -dtau^2 + cosh^2(tau) g_{S^{n-1}} in the
-# chart x = (theta_0..theta_{m-1}, tau), m = n - 1, with g_ii = cosh^2(tau) s_i,
-# s_0 = 1 and s_i = prod_{j<i} sin^2(theta_j).  The nonzero symbols are
-#   Gamma^tau_ii = cosh(tau) sinh(tau) s_i,   Gamma^i_{i tau} = tanh(tau),
-#   Gamma^k_ii = -(s_i/s_k) cot(theta_k),     Gamma^i_{ik} = cot(theta_k)   (k < i),
-# with s_i/s_k cot(theta_k) written as sin cos(theta_k) prod_{k<j<i} sin^2(theta_j)
-# so that it stays finite at the poles.  theta_{m-1} never enters the metric.
-
-def _desitter_christoffel(n: int):
-    m = n - 1
-    shape = (n, n, n)
-    ii_tau, i_tau_i, tau_ii = (0, 0, m), (0, m, 0), (m, 0, 0)      # i = 0
-
-    def christoffel(x: np.ndarray) -> np.ndarray:
-        tau = x[m]
-        g = np.zeros(shape)
-        th = np.tanh(tau)
-        cs = np.cosh(tau) * np.sinh(tau)
-        # i = 0: s_0 = 1 and no k < i
-        g[ii_tau] = g[i_tau_i] = th
-        g[tau_ii] = cs
-        if m > 1:
-            s = 1.0
-            gk = []             # Gamma^k_ii for k < i
-            cot = []            # cot(theta_k) for k < i
-            for i, a in enumerate(x[:m - 1].tolist(), start=1):
-                sin, cos = math.sin(a), math.cos(a)     # theta_{i-1}
-                sin2 = sin * sin
-                s *= sin2
-                gk = [v * sin2 for v in gk] + [-sin * cos]
-                cot.append(cos / sin)
-                g[i, i, m] = g[i, m, i] = th
-                g[m, i, i] = cs * s
-                for k in range(i):
-                    g[k, i, i] = gk[k]
-                    g[i, i, k] = g[i, k, i] = cot[k]
+        g = np.zeros((n, n))
+        g.ravel()[::n + 1] = _hypersphere_metric_diag(x.tolist())     # the diagonal
         return g
 
-    return christoffel
-
-
-def _desitter_christoffel_deriv(n: int):
-    m = n - 1
-    shape = (n, n, n, n)
-    ii_tau, i_tau_i, tau_ii = (m, 0, 0, m), (m, 0, m, 0), (m, m, 0, 0)     # d_tau, i = 0
+    def christoffel(x: np.ndarray) -> np.ndarray:
+        g = np.zeros(shape3)
+        _hypersphere_christoffel(g, x.tolist(), n - 1)
+        return g
 
     def christoffel_deriv(x: np.ndarray) -> np.ndarray:
-        """d[l, k, i, j] = d Gamma^k_ij / d x_l, the entries above differentiated."""
-        tau = x[m]
-        d = np.zeros(shape)
-        sech2 = 1.0 / np.cosh(tau) ** 2
-        c2 = np.cosh(2.0 * tau)
-        d[ii_tau] = d[i_tau_i] = sech2
-        d[tau_ii] = c2
-        if m > 1:
-            cs = np.cosh(tau) * np.sinh(tau)
-            angles = x[:m - 1].tolist()
-            sin2 = [math.sin(a) ** 2 for a in angles]
-            dsin2 = [math.sin(2.0 * a) for a in angles]     # d sin^2 / d theta
-
-            def prod(lo: int, hi: int, skip: int = -1) -> float:
-                """Product of sin^2(theta_j) over lo <= j < hi, j != skip."""
-                p = 1.0
-                for j in range(lo, hi):
-                    if j != skip:
-                        p *= sin2[j]
-                return p
-
-            for i in range(1, m):
-                d[m, i, i, m] = d[m, i, m, i] = sech2
-                d[m, m, i, i] = c2 * prod(0, i)
-                for k in range(i):
-                    # Gamma^tau_ii = cosh sinh(tau) s_i
-                    d[k, m, i, i] = cs * dsin2[k] * prod(0, i, k)
-                    # Gamma^k_ii = -sin(2 theta_k)/2 prod_{k<j<i} sin^2(theta_j)
-                    d[k, k, i, i] = -math.cos(2.0 * angles[k]) * prod(k + 1, i)
-                    for l in range(k + 1, i):
-                        d[l, k, i, i] = -0.5 * dsin2[k] * dsin2[l] * prod(k + 1, i, l)
-                    # Gamma^i_ik = cot(theta_k)
-                    d[k, i, i, k] = d[k, i, k, i] = -1.0 / sin2[k]
+        d = np.zeros(shape4)
+        _hypersphere_christoffel_deriv(d, x.tolist(), n - 1)
         return d
 
-    return christoffel_deriv
-
-
-def _desitter_embed(n: int):
     def embed(x: np.ndarray) -> np.ndarray:
-        tau = x[-1]
-        omega = _hypersphere_embed(x[:-1])
-        return np.concatenate([np.cosh(tau) * omega, [np.sinh(tau)]])
-    return embed
+        omega = _hypersphere_coords(x.tolist())
+        return np.array(omega[1:] + omega[:1])
 
+    def embed_jac(x: np.ndarray) -> np.ndarray:
+        rows = _hypersphere_jac_rows(x.tolist())
+        return np.array(rows[1:] + rows[:1])
 
-def _hypersphere_embed_jac(angles: np.ndarray) -> np.ndarray:
-    """d Omega / d theta, products expanded to stay exact at the poles."""
-    m = len(angles)
-    sin = np.sin(angles)
-    cos = np.cos(angles)
-    jac = np.zeros((m + 1, m))
-    for i in range(m):
-        for k in range(i, m + 1):
-            # product over j < k with the theta_i factor differentiated
-            prod = 1.0
-            for j in range(min(k, m)):
-                if j == i:
-                    prod *= cos[i]
-                else:
-                    prod *= sin[j]
-            if k < m:
-                jac[k, i] = prod * (-sin[k] if k == i else cos[k])
-            else:
-                jac[k, i] = prod
-    return jac
-
-
-def _desitter_embed_jac(n: int):
-    def jac(x: np.ndarray) -> np.ndarray:
-        tau = x[-1]
-        omega = _hypersphere_embed(x[:-1])
-        domega = _hypersphere_embed_jac(x[:-1])
-        out = np.zeros((n + 1, n))
-        out[:-1, :-1] = np.cosh(tau) * domega
-        out[:-1, -1] = np.sinh(tau) * omega
-        out[-1, -1] = np.cosh(tau)
-        return out
-    return jac
-
-
-def _desitter_chart(n: int):
     def chart(X: np.ndarray) -> np.ndarray:
-        tau = np.arcsinh(X[-1])
-        omega = X[:-1] / np.cosh(tau)
-        return np.concatenate([_hypersphere_chart(omega), [tau]])
-    return chart
+        return _hypersphere_chart(np.concatenate([X[-1:], X[:-1]]))
 
+    return ManifoldModel(
+        name="sphere2" if n == 2 else f"sphere({n})",
+        dim=n,
+        signature=(1,) * n,
+        domain=ChartDomain(np.concatenate([np.zeros(n - 1), [-np.inf]]),
+                           np.concatenate([np.full(n - 1, np.pi), [np.inf]])),
+        metric=metric,
+        christoffel=christoffel,
+        christoffel_deriv=christoffel_deriv,
+        oracle=_QuadricOracle(metric, embed, embed_jac, chart),
+        embedding=embed,
+        embedding_jac=embed_jac,
+        metadata={"periodic": {n - 1: 2.0 * np.pi}},
+    )
+
+
+# ---------------------------------------------------------------------------
+# de Sitter space: hyperboloid sum(x_i^2) - x_{n+1}^2 = 1 in Minkowski(n+1).
+# Chart coordinates (theta_0..theta_{m-1}, tau), m = n - 1, with
+#   X_{1..n} = cosh(tau) * Omega(theta),   X_{n+1} = sinh(tau),
+# and metric -dtau^2 + cosh^2(tau) g_{S^m}.  Besides the angular symbols of
+# S^m above, the nonzero Christoffel symbols are
+#   Gamma^tau_ii = cosh(tau) sinh(tau) s_i,   Gamma^i_{i tau} = tanh(tau).
 
 def _desitter(n: int = 2) -> ManifoldModel:
     if n < 2:
         raise UnknownModel(f"desitter({n})")
-    lower = np.concatenate([np.zeros(n - 2), [-np.inf, -np.inf]])
-    upper = np.concatenate([np.full(n - 2, np.pi), [np.inf, np.inf]])
-    metric, embed = _desitter_metric(n), _desitter_embed(n)
-    embed_jac, chart = _desitter_embed_jac(n), _desitter_chart(n)
+    m = n - 1
+    shape3, shape4 = (n, n, n), (n, n, n, n)
+    # the tau entries of the first angle, i = 0, where s_0 = 1
+    ii_tau, i_tau_i, tau_ii = (0, 0, m), (0, m, 0), (m, 0, 0)
+    d_ii_tau, d_i_tau_i, d_tau_ii = (m,) + ii_tau, (m,) + i_tau_i, (m,) + tau_ii
+
+    def metric(x: np.ndarray) -> np.ndarray:
+        diag = np.empty(n)
+        diag[:-1] = np.cosh(x[m]) ** 2 * np.array(_hypersphere_metric_diag(x[:m].tolist()))
+        diag[-1] = -1.0
+        return np.diag(diag)
+
+    def christoffel(x: np.ndarray) -> np.ndarray:
+        tau = x[m]
+        g = np.zeros(shape3)
+        th = np.tanh(tau)
+        cs = np.cosh(tau) * np.sinh(tau)
+        g[ii_tau] = g[i_tau_i] = th
+        g[tau_ii] = cs
+        if m > 1:
+            sin2 = _hypersphere_christoffel(g, x.tolist(), m - 1)
+            for i in range(1, m):
+                g[i, i, m] = g[i, m, i] = th
+                g[m, i, i] = cs * _sin2_prod(sin2, 0, i)
+        return g
+
+    def christoffel_deriv(x: np.ndarray) -> np.ndarray:
+        tau = x[m]
+        d = np.zeros(shape4)
+        sech2 = 1.0 / np.cosh(tau) ** 2
+        c2 = np.cosh(2.0 * tau)
+        d[d_ii_tau] = d[d_i_tau_i] = sech2
+        d[d_tau_ii] = c2
+        if m > 1:
+            cs = np.cosh(tau) * np.sinh(tau)
+            angles = x.tolist()
+            sin2 = _hypersphere_christoffel_deriv(d, angles, m - 1)
+            for i in range(1, m):
+                d[m, i, i, m] = d[m, i, m, i] = sech2
+                d[m, m, i, i] = c2 * _sin2_prod(sin2, 0, i)
+                for k in range(i):
+                    d[k, m, i, i] = cs * math.sin(2.0 * angles[k]) * _sin2_prod(sin2, 0, i, k)
+        return d
+
+    def embed(x: np.ndarray) -> np.ndarray:
+        omega = np.array(_hypersphere_coords(x[:m].tolist()))
+        return np.concatenate([np.cosh(x[m]) * omega, [np.sinh(x[m])]])
+
+    def embed_jac(x: np.ndarray) -> np.ndarray:
+        tau, angles = x[m], x[:m].tolist()
+        out = np.zeros((n + 1, n))
+        out[:-1, :-1] = np.cosh(tau) * np.array(_hypersphere_jac_rows(angles))
+        out[:-1, -1] = np.sinh(tau) * np.array(_hypersphere_coords(angles))
+        out[-1, -1] = np.cosh(tau)
+        return out
+
+    def chart(X: np.ndarray) -> np.ndarray:
+        tau = np.arcsinh(X[-1])
+        return np.concatenate([_hypersphere_chart(X[:-1] / np.cosh(tau)), [tau]])
+
     return ManifoldModel(
         name=f"desitter({n})",
         dim=n,
-        signature=(1,) * (n - 1) + (-1,),
-        domain=ChartDomain(lower, upper),
+        signature=(1,) * m + (-1,),
+        domain=ChartDomain(np.concatenate([np.zeros(n - 2), [-np.inf, -np.inf]]),
+                           np.concatenate([np.full(n - 2, np.pi), [np.inf, np.inf]])),
         metric=metric,
-        christoffel=_desitter_christoffel(n),
-        christoffel_deriv=_desitter_christoffel_deriv(n),
+        christoffel=christoffel,
+        christoffel_deriv=christoffel_deriv,
         oracle=_QuadricOracle(metric, embed, embed_jac, chart),
         embedding=embed,
         embedding_jac=embed_jac,
@@ -470,7 +451,8 @@ def _clifton_pohl() -> ManifoldModel:
 BUILTIN_MODELS = {
     "euclidean": (_euclidean, "flat R^n", True),
     "minkowski": (_minkowski, "flat Lorentzian R^n, signature (+..+,-)", True),
-    "sphere2": (_sphere2, "unit sphere, polar chart", False),
+    "sphere2": (lambda: _sphere(2), "unit sphere, polar chart; sphere with n = 2", False),
+    "sphere": (_sphere, "unit sphere S^n, hyperspherical chart", True),
     "hyperbolic2": (_hyperbolic2, "hyperbolic plane, upper half-plane chart", False),
     "desitter": (_desitter, "de Sitter hyperboloid in Minkowski(n+1)", True),
     "paraboloid": (_paraboloid, "paraboloid z = x^2 + y^2", False),

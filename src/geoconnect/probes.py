@@ -100,15 +100,18 @@ def hyperboloid_sweep_family(model: ManifoldModel, p, gnorm: float,
     """Constant-g-norm sweep over boosted directions (indefinite models).
 
     The curve alpha(chi) = c * (cosh(chi) e_s + sinh(chi) e_t) keeps
-    |alpha|_g = c while its chart norm grows without bound.
+    |alpha|_g = c while its chart norm grows without bound.  Raises ValueError
+    unless 0 < gnorm < inf.
     """
+    if not 0.0 < gnorm < np.inf:
+        raise ValueError(f"gnorm must be positive and finite, not {gnorm}")
+    if causal not in ("spacelike", "timelike"):
+        raise ValueError("causal must be 'spacelike' or 'timelike'")
     E, signs = orthonormal_frame(model, p)
     es = E[:, np.flatnonzero(signs == 1)[0]]
     et = E[:, np.flatnonzero(signs == -1)[0]]
     chi_max = np.arccosh(max(1.05 * norm_cap / (gnorm * max(np.linalg.norm(es), 1e-12)), 2.0))
     schedule = np.linspace(0.0, chi_max, SWEEP_SAMPLES)
-    if causal not in ("spacelike", "timelike"):
-        raise ValueError("causal must be 'spacelike' or 'timelike'")
 
     def alpha(chi):
         return gnorm * _boost(es, et, chi, causal == "timelike")

@@ -295,6 +295,46 @@ def test_cli_malformed_vector_is_a_usage_error(argv, capsys):
     assert err.startswith("geoconnect: error: argument") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["conj-locus", "--model", "desitter", "--point", "0.1,0.2", "--count", "0"], "--count"),
+    (["conj-locus", "--model", "sphere2", "--point", "1.3,0.4", "--count", "4",
+      "--refine=-1"], "--refine"),
+    ([*_EUCLIDEAN_PROBE, "--kind", "pseudoconvex", "--box", "0,0;1,1", "--count=-4"], "--count"),
+    ([*_EUCLIDEAN_PROBE, "--kind", "disprison", "--point", "0,0", "--count=-2"], "--count"),
+    (["convex-check", "--model", "euclidean", "--dim", "2", "--f", "x1^2", "--count=-1"],
+     "--count"),
+], ids=["conj-locus-count", "conj-locus-refine", "pseudoconvex-count", "disprison-count",
+        "convex-check-count"])
+def test_cli_count_below_one_or_negative_refine_is_a_usage_error(argv, flag, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"geoconnect: error: argument {flag}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gnorm", ["0", "-3", "inf", "nan"])
+def test_cli_gnorm_must_be_positive_and_finite(gnorm, capsys):
+    argv = ["probe", "--model", "desitter", "--kind", "weakproper", "--point", "0.1,0.2",
+            f"--gnorm={gnorm}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --gnorm" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_gauss_on_an_indefinite_model_is_a_usage_error(capsys):
+    assert main(["probe", "--model", "desitter", "--kind", "gauss", "--point", "0.1,0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("geoconnect: error: argument --kind: gauss needs a Riemannian "
+                            "model, not desitter(2)\n")
+
+
 def test_cli_conj_locus_csv(capsys):
     rc = main(["conj-locus", "--model", "sphere2", "--point", "1.3,0.4",
                "--count", "8", "--tmax", "4", "--refine", "0"])

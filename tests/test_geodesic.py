@@ -220,6 +220,20 @@ def test_numeric_matches_oracle(name):
                            atol=1e-8)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_numeric_exp_matches_oracle_on_sphere(n):
+    """Compared in the embedding, where the periodic last angle needs no wrap."""
+    model = model_registry("sphere", n=n)
+    rng = np.random.default_rng(90 + n)
+    for _ in range(20):
+        p = np.concatenate([rng.uniform(0.4, np.pi - 0.4, n - 1), rng.uniform(-3.0, 3.0, 1)])
+        v = rng.uniform(-0.6, 0.6, n)
+        x = exp(model, p, v)
+        X = oracle_geodesic_embedding(model, p, v, 1.0)
+        assert np.allclose(model.embedding(x), X, atol=1e-8)
+        assert np.allclose(model.embedding(oracle_geodesic(model, p, v, 1.0)), X, atol=1e-14)
+
+
 def test_oracle_embedding_stays_on_surface():
     s = model_registry("sphere2")
     d = model_registry("desitter", n=2)

@@ -184,6 +184,21 @@ def test_conjugate_point_inside_the_first_step():
     assert t_star == pytest.approx(np.sqrt(c * (1.0 - SINGULAR_TOL)), abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a conjugate point of even multiplicity dips det(J/t) to zero "
+                          "without a sign change, and the scan sees only step ends")
+def test_sphere3_finds_its_multiplicity_two_conjugate_points():
+    """Every ray of S^3 meets the antipode, conjugate of multiplicity 2, at t* = pi/|u|."""
+    s = model_registry("sphere", n=3)
+    p = np.array([1.2, 1.4, 0.3])
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        speed = rng.uniform(0.5, 2.0)
+        u = speed * normalize_direction(s, p, rng.standard_normal(3))
+        t = first_conjugate_time(s, p, u, t_max=4.0 / speed)
+        assert t is not None and t == pytest.approx(np.pi / speed, abs=1e-6)
+
+
 def test_hyperbolic_has_no_conjugate_points():
     h = model_registry("hyperbolic2")
     p = np.array([0.0, 1.0])

@@ -239,10 +239,89 @@ def test_desitter2_connection_is_bitwise_closed_form():
         assert np.array_equal(model.christoffel_deriv(np.asarray(x)), dgamma)
 
 
+def test_sphere2_is_bitwise_the_polar_chart():
+    """sphere(2) keeps the closed forms of the polar chart (theta, phi) bit for bit;
+    only its chart inverse moved from arccos to arctan2, within 1e-13."""
+    model = model_registry("sphere2")
+    rng = np.random.default_rng(71)
+    for th, ph in rng.uniform([0.01, -4.0], [np.pi - 0.01, 4.0], (2000, 2)):
+        x = np.array([th, ph])
+        metric = np.diag([1.0, np.sin(th) ** 2])
+        gamma = np.zeros((2, 2, 2))
+        gamma[0, 1, 1] = -np.sin(th) * np.cos(th)
+        gamma[1, 0, 1] = gamma[1, 1, 0] = np.cos(th) / np.sin(th)
+        dgamma = np.zeros((2, 2, 2, 2))
+        dgamma[0, 0, 1, 1] = -np.cos(2.0 * th)
+        dgamma[0, 1, 0, 1] = dgamma[0, 1, 1, 0] = -1.0 / np.sin(th) ** 2
+        embed = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+        jac = np.array([
+            [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)],
+            [np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph)],
+            [-np.sin(th), 0.0],
+        ])
+        assert np.array_equal(model.metric(x), metric)
+        assert np.array_equal(model.christoffel(x), gamma)
+        assert np.array_equal(model.christoffel_deriv(x), dgamma)
+        assert np.array_equal(model.embedding(x), embed)
+        assert np.array_equal(model.embedding_jac(x), jac)
+        v = rng.uniform(-1.0, 1.0, 2)
+        X = model.oracle.point_embedding(x, v, 0.7)
+        chart = np.array([np.arccos(np.clip(X[2], -1.0, 1.0)), np.arctan2(X[1], X[0])])
+        assert np.abs(model.oracle.point(x, v, 0.7) - chart).max() <= 1e-13
+
+
+def _sphere_point(n, rng):
+    return np.concatenate([rng.uniform(0.3, np.pi - 0.3, n - 1), rng.uniform(-3.0, 3.0, 1)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sphere_connection_matches_fd(n):
+    model = model_registry("sphere", n=n)
+    bare = dataclasses.replace(model, christoffel=None, christoffel_deriv=None)
+    rng = np.random.default_rng(60 + n)
+    for _ in range(10):
+        x = _sphere_point(n, rng)
+        assert np.allclose(model.christoffel(x), fd_christoffel(bare, x), atol=1e-8)
+        dgamma = np.empty((n, n, n, n))
+        for l in range(n):
+            h = 1e-5
+            xp = x.copy(); xp[l] += h
+            xm = x.copy(); xm[l] -= h
+            dgamma[l] = (model.christoffel(xp) - model.christoffel(xm)) / (2 * h)
+        assert np.allclose(model.christoffel_deriv(x), dgamma, atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sphere_embedding_jacobian_matches_fd(n):
+    model = model_registry("sphere", n=n)
+    rng = np.random.default_rng(70 + n)
+    for _ in range(10):
+        x = _sphere_point(n, rng)
+        assert np.linalg.norm(model.embedding(x)) == pytest.approx(1.0, abs=1e-15)
+        fd = np.empty((n + 1, n))
+        for i in range(n):
+            h = 1e-6
+            xp = x.copy(); xp[i] += h
+            xm = x.copy(); xm[i] -= h
+            fd[:, i] = (model.embedding(xp) - model.embedding(xm)) / (2 * h)
+        assert np.allclose(model.embedding_jac(x), fd, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sphere_embedding_metric_pullback(n):
+    model = model_registry("sphere", n=n)
+    rng = np.random.default_rng(80 + n)
+    for _ in range(10):
+        x = _sphere_point(n, rng)
+        J = model.embedding_jac(x)
+        assert np.allclose(J.T @ J, model.metric(x), atol=1e-10)
+
+
 GUARDED_MODELS = [
     (lambda: model_registry("euclidean"), (0.1, 0.2, 0.3)),
     (lambda: model_registry("minkowski"), (0.1, 0.2)),
     (lambda: model_registry("sphere2"), (1.2, 0.3)),
+    (lambda: model_registry("sphere", n=3), (1.2, 1.4, 0.3)),
     (lambda: model_registry("hyperbolic2"), (0.0, 1.0)),
     (lambda: model_registry("desitter", n=2), (0.3, -0.2)),
     (lambda: model_registry("desitter", n=3), (1.2, 0.3, 0.1)),

@@ -60,6 +60,13 @@ def test_desitter_weak_properness_violation():
     assert row["final_lift_norm"] > cfg.norm_cap
 
 
+@pytest.mark.parametrize("gnorm", [0.0, -3.0, np.nan, np.inf])
+def test_hyperboloid_sweep_rejects_a_gnorm_that_is_not_positive_and_finite(gnorm):
+    d = model_registry("desitter", n=2)
+    with pytest.raises(ValueError, match="gnorm"):
+        hyperboloid_sweep_family(d, np.array([0.1, 0.2]), gnorm=gnorm)
+
+
 def test_polyline_family_shape():
     fam = polyline_family([[1.0, 0.0], [1.0, 2.0]], name="w")
     curve = fam.curves[0]
