@@ -140,8 +140,12 @@ def _wrap_near(model: ManifoldModel, x: np.ndarray, ref: np.ndarray) -> np.ndarr
 
 
 def _wrap_delta(model: ManifoldModel, delta: np.ndarray) -> np.ndarray:
-    """Map a chart difference into the nearest periodic representative."""
-    return _wrap_near(model, delta, np.zeros_like(delta))
+    """Map a chart difference, in place, into the nearest periodic representative.
+    This is ``_wrap_near`` about 0 with the zeros left out: adding or subtracting
+    0.0 there changes no bit of the result."""
+    for idx, per in model.metadata.get("periodic", {}).items():
+        delta[idx] = (delta[idx] + 0.5 * per) % per - 0.5 * per
+    return delta
 
 
 def _frame(J: np.ndarray, x1: np.ndarray,
@@ -396,6 +400,8 @@ def conjugate_locus_sample(
     refine: int = 1,
 ) -> ConjugateLocusSample:
     """Per-direction first conjugate times plus sampled weak-Wiedersehen diagnostics."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     p = np.asarray(p, dtype=float)
     if cfg is None:
         # t* is only needed to ~1e-6; the default shooting tolerance is overkill

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import StepSizeUnderflow, UnknownModel
+from .errors import DegenerateMetric, StepSizeUnderflow, UnknownModel
 from .manifold import ChartDomain, ManifoldModel, causal_sign
 
 __all__ = ["model_registry", "list_models", "BUILTIN_MODELS"]
@@ -54,6 +54,9 @@ class _QuadricOracle:
     isometry q = g_p(v, v), classed by ``causal_sign``.  A timelike point
     beyond float range raises StepSizeUnderflow, as the numeric integrator
     does on the same ray.
+
+    P, d(embed)_p and g_p depend on p alone, and a caller varies v at a fixed
+    p, so they are kept, read-only, for the last p seen (keyed by its bytes).
     """
 
     def __init__(self, metric, embed, embed_jac, chart):
@@ -61,13 +64,20 @@ class _QuadricOracle:
         self._embed = embed
         self._embed_jac = embed_jac
         self._chart = chart
+        self._base = (None, ())     # (p.tobytes(), (P, d(embed)_p, g_p)), set as one
 
     def point_embedding(self, p: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        P = self._embed(p)
-        U = self._embed_jac(p) @ v
-        q = float(v @ self._metric(p) @ v)
+        key, base = p.tobytes(), self._base
+        if base[0] != key:
+            data = (self._embed(p), self._embed_jac(p), self._metric(p))
+            for a in data:
+                a.flags.writeable = False
+            base = self._base = (key, data)
+        P, A, g = base[1]
+        U = A @ v
+        q = float(v @ g @ v)
         sign = causal_sign(q, v)
         if sign > 0:
             c = math.sqrt(q)
@@ -265,7 +275,10 @@ def _sphere(n: int = 2) -> ManifoldModel:
 
     def christoffel_deriv(x: np.ndarray) -> np.ndarray:
         d = np.zeros(shape4)
-        _hypersphere_christoffel_deriv(d, x.tolist(), n - 1)
+        try:
+            _hypersphere_christoffel_deriv(d, x.tolist(), n - 1)
+        except ZeroDivisionError:   # sin^2(theta_k) underflowed to 0: g is singular there
+            raise DegenerateMetric(x, 0.0) from None
         return d
 
     def embed(x: np.ndarray) -> np.ndarray:
@@ -342,7 +355,10 @@ def _desitter(n: int = 2) -> ManifoldModel:
         if m > 1:
             cs = np.cosh(tau) * np.sinh(tau)
             angles = x.tolist()
-            sin2 = _hypersphere_christoffel_deriv(d, angles, m - 1)
+            try:
+                sin2 = _hypersphere_christoffel_deriv(d, angles, m - 1)
+            except ZeroDivisionError:   # as in sphere(n)
+                raise DegenerateMetric(x, 0.0) from None
             for i in range(1, m):
                 d[m, i, i, m] = d[m, i, m, i] = sech2
                 d[m, m, i, i] = c2 * _sin2_prod(sin2, 0, i)

@@ -79,15 +79,17 @@ def test_frame_ray_ends_at_its_matrix(cfg, v):
     assert np.array_equal(frame.ray(1.0), frame.matrix)
 
 
-def _oracle_dexp_loop(model, p, v):
-    """The oracle differential's own central-difference loop, before the stencil was shared."""
+def _oracle_dexp_loop(name, p, v):
+    """The oracle differential's own central-difference loop, before the stencil was shared.
+    Each point comes from a freshly built model, so no base point is reused."""
+    model = model_registry(name)
     n = model.dim
     J = np.empty((n, n))
     for i in range(n):
         h = 1e-6 * max(1.0, abs(v[i]))
         dv = np.zeros(n); dv[i] = h
-        diff = (np.asarray(model.oracle.point(p, v + dv, 1.0))
-                - np.asarray(model.oracle.point(p, v - dv, 1.0)))
+        diff = (np.asarray(model_registry(name).oracle.point(p, v + dv, 1.0))
+                - np.asarray(model_registry(name).oracle.point(p, v - dv, 1.0)))
         J[:, i] = _wrap_delta(model, diff) / (2.0 * h)
     return J
 
@@ -100,8 +102,49 @@ def test_oracle_differential_matches_its_loop_bitwise(name, p, v):
     model = model_registry(name)
     p, v = np.array(p), np.array(v)
     frame = dexp_matrix(model, p, v, IntegratorConfig(prefer_oracle=True))
-    assert np.array_equal(frame.matrix, _oracle_dexp_loop(model, p, v))
-    assert np.array_equal(frame.ray(0.5), _oracle_dexp_loop(model, p, 0.5 * v))
+    assert np.array_equal(frame.matrix, _oracle_dexp_loop(name, p, v))
+    assert np.array_equal(frame.ray(0.5), _oracle_dexp_loop(name, p, 0.5 * v))
+
+
+@pytest.mark.parametrize("name, n", [("sphere2", None), ("desitter", 2), ("desitter", 3)])
+def test_oracle_base_point_memo_is_bitwise_a_fresh_oracle(name, n):
+    """Base points p1, p2, p1 interleaved on one oracle give, bit for bit, what a
+    freshly built model's oracle gives for each call."""
+    def build():
+        return model_registry(name) if n is None else model_registry(name, n=n)
+
+    model = build()
+    rng = np.random.default_rng(47)
+    p1, p2 = np.full(model.dim, 1.1), np.linspace(0.4, 1.3, model.dim)
+    for p in (p1, p2, p1, p1, p2):
+        for _ in range(4):
+            v, t = rng.uniform(-1.5, 1.5, model.dim), rng.uniform(0.1, 2.0)
+            assert np.array_equal(model.oracle.point_embedding(p, v, t),
+                                  build().oracle.point_embedding(p, v, t))
+            assert np.array_equal(model.oracle.point(p, v, t), build().oracle.point(p, v, t))
+
+
+def test_oracle_memo_sees_a_base_point_changed_in_place():
+    """Writing into the caller's p after a call gives the new p's geodesic, not the old one's."""
+    oracle = model_registry("desitter").oracle
+    p, v = np.array([0.2, -0.3]), np.array([0.4, -0.7])
+    before = oracle.point_embedding(p, v, 1.0)
+    p[:] = [1.1, 0.5]
+    after = oracle.point_embedding(p, v, 1.0)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, model_registry("desitter").oracle.point_embedding(p, v, 1.0))
+    p[:] = [0.2, -0.3]
+    assert np.array_equal(oracle.point_embedding(p, v, 1.0), before)
+
+
+def test_oracle_results_do_not_alias_its_memo():
+    """A returned point is the caller's own array: writing to it changes no later result."""
+    oracle = model_registry("sphere2").oracle
+    p, v = np.array([1.2, 0.3]), np.array([0.3, 0.4])
+    X = oracle.point_embedding(p, v, 0.0)
+    X[:] = 0.0
+    assert np.array_equal(oracle.point_embedding(p, v, 0.0),
+                          model_registry("sphere2").embedding(p))
 
 
 def test_oracle_frame_ray_keeps_its_own_tangent():
@@ -298,6 +341,27 @@ def test_sphere_locus_clusters_to_antipode():
     assert sample.diagnostics["complement_components"] >= 1
     q = np.array([1.3, 1.0])
     assert component_of_point(sample, q) is not None
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_conjugate_locus_sample_rejects_a_count_below_one(monkeypatch, count):
+    calls = []
+    monkeypatch.setattr(jacobi, "_locus_rays", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="count"):
+        conjugate_locus_sample(model_registry("desitter"), [0.1, 0.2], t_max=1.0, count=count)
+    assert calls == []
+
+
+def test_wrap_delta_is_wrap_near_about_zero_bitwise():
+    """Wrapping in place without the zero reference changes no bit, sign of zero included."""
+    s = model_registry("sphere2")
+    rng = np.random.default_rng(53)
+    phi = np.concatenate([rng.uniform(-7.0, 7.0, 20_000), rng.normal(0.0, 1e-12, 1000),
+                          [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 3 * np.pi]])
+    for d in phi:
+        delta = np.array([rng.uniform(-1.0, 1.0), d])
+        ref = jacobi._wrap_near(s, delta.copy(), np.zeros(2))
+        assert _wrap_delta(s, delta).tobytes() == ref.tobytes()
 
 
 def test_component_of_point_reads_the_sampled_complement(monkeypatch):

@@ -1,5 +1,6 @@
 """Metric/connection evaluation, tangent-space helpers, auxiliary metric."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from geoconnect import (
     ChartDomain, DegenerateMetric, ManifoldModel, NotTimelike, OutOfChart,
     ScalarField, Tangent, VectorField, auxiliary_riemannian, causal_class,
-    christoffel_eval, inner, integrate_geodesic, integrate_variational, manifold,
+    christoffel_eval, dexp_matrix, inner, integrate_geodesic, integrate_variational, manifold,
     metric_eval, model_from_config_text, model_registry, orthonormal_frame,
 )
 from geoconnect.manifold import (
@@ -56,6 +57,23 @@ def test_metric_eval_rejects_degenerate():
     )
     with pytest.raises(DegenerateMetric):
         metric_eval(bad, np.zeros(2))
+
+
+@pytest.mark.parametrize("name, n, x", [
+    ("sphere2", None, [1e-170, 0.3]),
+    ("desitter", 3, [1e-170, 0.3, 0.1]),
+])
+def test_vanishing_sine_squared_is_a_degenerate_metric(name, n, x):
+    """Inside the chart sin^2(theta_0) underflows to 0, where g is singular in floats:
+    the connection's derivative and d(exp) refuse with DegenerateMetric, warning-free."""
+    model = model_registry(name) if n is None else model_registry(name, n=n)
+    x = np.array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateMetric):
+            christoffel_deriv_raw(model, x)
+        with pytest.raises(DegenerateMetric):
+            dexp_matrix(model, x, np.full(model.dim, 0.1))
 
 
 @pytest.mark.parametrize("name", ["sphere2", "hyperbolic2", "desitter",
