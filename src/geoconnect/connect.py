@@ -4,8 +4,8 @@ The connector solves exp_p(v) = q by continuation: a target path sigma from
 a nearby regular start to q is tracked in the tangent space by a predictor
 step through the inverse differential of exp_p plus a Newton corrector.
 Failures are typed, never raised: a singular differential (conjugate hit,
-with detour retries), unbounded lift norm (escape witness), leaving the
-maximal domain, or step underflow.
+with detour retries), a lift norm that diverges before the target path ends
+(escape witness), leaving the maximal domain, or step underflow.
 """
 from __future__ import annotations
 
@@ -38,6 +38,10 @@ LOG_ITERATIONS = 50       # local_log iteration budget
 FAR_RESIDUAL = 1e-5       # above it Newton steps must contract; local_log integrates coarsely
 SV_FLOOR = 1e-6           # smallest singular value of a regular differential
 ESCAPE_FACTOR = 1e4       # lift escape bound, in target path lengths
+DIVERGENCE_START = 0.25   # first norm record at |v| >= this many target path lengths
+DIVERGENCE_GROWTH = 2.0   # each later record at least this many times the last
+DIVERGENCE_GAP_RATIO = 0.5  # each gap between records at most this share of the one before
+DIVERGENCE_GAPS = 3       # shrinking gaps that witness a blow-up
 MAX_LIFT_STEPS = 400
 MAX_RETRIES = 8           # detours after a conjugate hit
 BUMP_FRACTION = 0.05      # detour amplitude, in target path lengths
@@ -219,6 +223,17 @@ def _bumped_path(base: TargetPath, p: np.ndarray, q: np.ndarray, k: int,
 
 def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
           cfg: ConnectConfig) -> LiftOutcome:
+    """Track sigma through exp_p from v = 0; every refusal's witness carries
+    its cost: accepted ``lift_steps``, predictor-corrector ``attempts`` and
+    the corrector's summed ``newton_iterations``.
+
+    Divergence is read off the accepted norms.  |v| is recorded at the first
+    step with |v| >= DIVERGENCE_START * ell and again whenever it grows by
+    DIVERGENCE_GROWTH over the last record.  When the last DIVERGENCE_GAPS
+    gaps between record times each shrink by DIVERGENCE_GAP_RATIO, the later
+    gaps sum to at most the last one, g, so the norm blows up by t + g; if
+    that is before sigma ends, the lift refuses with EscapeWitness.
+    """
     ell = sigma.length
     escape_bound = ESCAPE_FACTOR * ell
     t = 0.0
@@ -226,30 +241,43 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     dt = ell / 16.0
     dt_min = ell * 1e-7
     trace: list[dict] = []
+    records: list[dict] = []  # (t, |v|) at each doubling of the accepted norm
     frame = dexp_matrix(model, p, v, cfg.integrator)  # the identity at v = 0
-    steps = 0
+    attempts = 0
+    newton_iterations = 0
     fails = 0
+
+    def refuse(status: str, witness: dict) -> LiftOutcome:
+        witness.update(lift_steps=len(trace), attempts=attempts,
+                       newton_iterations=newton_iterations)
+        return LiftOutcome(status, None, trace, witness)
+
+    def escape(witness: dict) -> LiftOutcome:
+        witness.update(lift_norms=[float(np.linalg.norm(row["v"])) for row in trace],
+                       residuals=[row["residual"] for row in trace])
+        return refuse("EscapeWitness", witness)
+
     while t < ell:
-        if steps >= MAX_LIFT_STEPS:
-            return LiftOutcome("Stalled", None, trace,
-                               {"reason": "max lift steps", "t": t})
-        steps += 1
+        if attempts >= MAX_LIFT_STEPS:
+            return refuse("Stalled", {"reason": "max lift steps", "t": t})
+        attempts += 1
         dt = min(dt, ell - t)
         target = sigma.point(t + dt)
         try:
             dv = np.linalg.solve(frame.matrix,
                                  -_wrap_delta(model, frame.endpoint - target))
         except np.linalg.LinAlgError:
-            return LiftOutcome("ConjugateHit", None, trace,
-                               {"t_hit": t, "min_singular_value": frame.min_singular_value})
-        flag, v_new, frame_new, res, _ = _newton(
+            return refuse("ConjugateHit",
+                          {"t_hit": t, "min_singular_value": frame.min_singular_value})
+        flag, v_new, frame_new, res, it = _newton(
             model, p, v + dv, target, cfg.integrator, cfg.integrator, CORRECTOR_TOL,
             NEWTON_ITERATIONS, vcap=2.0 * escape_bound, sv_floor=SV_FLOOR)
+        newton_iterations += it
         if flag == "escape":
-            return LiftOutcome("DomainExit", None, trace, {
+            return refuse("DomainExit", {
                 "t": frame_new.t, "termination": frame_new.termination.value})
         if flag == "conjugate":
-            return LiftOutcome("ConjugateHit", None, trace, {
+            return refuse("ConjugateHit", {
                 "t_hit": t + dt,
                 "v_at_hit": v_new.tolist(),
                 "min_singular_value": frame_new.min_singular_value,
@@ -258,8 +286,7 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
             dt *= 0.5
             fails += 1
             if dt < dt_min or fails > 12:
-                return LiftOutcome("Stalled", None, trace,
-                                   {"reason": "corrector step underflow", "t": t})
+                return refuse("Stalled", {"reason": "corrector step underflow", "t": t})
             continue
         fails = 0
         t += dt
@@ -271,21 +298,26 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
             "residual": res,
             "min_singular_value": frame.min_singular_value,
         })
-        if float(np.linalg.norm(v)) > escape_bound:
-            norms = [float(np.linalg.norm(row["v"])) for row in trace]
-            return LiftOutcome("EscapeWitness", None, trace, {
-                "escape_bound": escape_bound,
-                "lift_norms": norms,
-                "residuals": [row["residual"] for row in trace],
-            })
+        norm = float(np.linalg.norm(v))
+        if norm > escape_bound:
+            return escape({"escape_bound": escape_bound})
+        if norm >= (records[-1]["lift_norm"] * DIVERGENCE_GROWTH if records
+                    else DIVERGENCE_START * ell):
+            records.append({"t": t, "lift_norm": norm})
+            times = [r["t"] for r in records[-DIVERGENCE_GAPS - 1:]]
+            gaps = [b - a for a, b in zip(times, times[1:])]
+            if (len(gaps) == DIVERGENCE_GAPS
+                    and all(g2 <= DIVERGENCE_GAP_RATIO * g1 for g1, g2 in zip(gaps, gaps[1:]))
+                    and t + gaps[-1] < ell):
+                return escape({"norm_records": records, "blow_up_bound": t + gaps[-1],
+                               "target_path_length": ell})
         dt = min(dt * 1.4, ell / 8.0)
     # sigma ends at q only up to its own accuracy: check q against the
     # endpoint of the last accepted frame
     residual = float(np.linalg.norm(_wrap_delta(model, frame.endpoint - q)))
     if residual > cfg.connect_tol:
-        return LiftOutcome("Stalled", None, trace,
-                           {"reason": "final residual above connect_tol",
-                            "residual": residual})
+        return refuse("Stalled", {"reason": "final residual above connect_tol",
+                                  "residual": residual})
     return LiftOutcome("Connected", v, trace, {})
 
 

@@ -8,6 +8,7 @@ metric are the fallback only for models that supply a bare metric.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
@@ -40,22 +41,29 @@ class ChartDomain:
         return ChartDomain(np.full(dim, -np.inf), np.full(dim, np.inf))
 
     def __post_init__(self):
-        # margin runs once per accepted integrator step: index the finite
-        # bounds here rather than on every call
-        lo_idx = np.flatnonzero(np.isfinite(self.lower))
-        hi_idx = np.flatnonzero(np.isfinite(self.upper))
-        object.__setattr__(self, "_lo_idx", lo_idx)
-        object.__setattr__(self, "_lo", np.asarray(self.lower)[lo_idx])
-        object.__setattr__(self, "_hi_idx", hi_idx)
-        object.__setattr__(self, "_hi", np.asarray(self.upper)[hi_idx])
+        # margin runs once per accepted integrator step: pair the finite
+        # bounds with their indices here, as Python numbers, rather than on
+        # every call
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
+        object.__setattr__(self, "_lo", tuple(
+            (int(i), float(lower[i])) for i in np.flatnonzero(np.isfinite(lower))))
+        object.__setattr__(self, "_hi", tuple(
+            (int(i), float(upper[i])) for i in np.flatnonzero(np.isfinite(upper))))
 
     def margin(self, x: np.ndarray) -> float:
-        """Signed distance-like margin; positive strictly inside."""
+        """Signed distance-like margin; positive strictly inside.
+
+        A bound group (lower or upper) with a NaN distance is ignored, as
+        ``min(m, nan)`` keeps m.  Within a group the last of equal minima
+        wins, as in ``np.min`` on a short array, so the sign of a zero margin
+        is kept bitwise."""
         m = np.inf
-        if len(self._lo_idx):
-            m = min(m, float((x[self._lo_idx] - self._lo).min()))
-        if len(self._hi_idx):
-            m = min(m, float((self._hi - x[self._hi_idx]).min()))
+        if self._lo or self._hi:
+            xs = x.tolist()
+            for group in ([xs[i] - b for i, b in self._lo], [b - xs[i] for i, b in self._hi]):
+                if group and not any(map(math.isnan, group)):
+                    m = min(m, min(reversed(group)))
         if self.interior_fn is not None:
             m = min(m, float(self.interior_fn(x)))
         return m
@@ -66,7 +74,7 @@ class ChartDomain:
 
     @property
     def is_trivial(self) -> bool:
-        return self.interior_fn is None and not len(self._lo_idx) and not len(self._hi_idx)
+        return self.interior_fn is None and not self._lo and not self._hi
 
 
 class GeodesicOracle(Protocol):

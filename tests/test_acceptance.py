@@ -194,6 +194,7 @@ def _desitter_brute_min_dist(Q: np.ndarray, n_chi: int = 2500,
 
 
 def test_criterion_06_desitter_connector_failure_soundness():
+    start = time.perf_counter()
     d = model_registry("desitter", n=2)
     p = np.array([0.0, 0.0])   # embeds to P = (1, 0, 0)
     rng = np.random.default_rng(606)
@@ -212,8 +213,10 @@ def test_criterion_06_desitter_connector_failure_soundness():
             continue
         if _desitter_brute_min_dist(Q) < 1e-3:
             ok = False
+    elapsed = time.perf_counter() - start
     _report(6, "de Sitter: 20 unreachable targets refused by the connector "
-               "and missed by a closed-form brute-force sweep", ok)
+               f"and missed by a closed-form brute-force sweep ({elapsed:.1f}s)",
+            ok and elapsed < 10.0)
 
 
 _DEXP_CFG = IntegratorConfig(rtol=1e-9, atol=1e-11)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -222,6 +223,23 @@ def test_cli_connect_failure_exit_code(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] != "Connected"
     jsonschema.validate(report, _schema("connect_report.schema.json"))
+
+
+def test_cli_desitter_refusal_is_an_escape_witness(capsys):
+    """An unreachable de Sitter target, on the CLI's variational frames, is
+    refused with the lift's divergence records, well within the time limit."""
+    start = time.perf_counter()
+    rc = main(["connect", "--model", "desitter", "--from", "0,0", "--to", "3.0,0.4", "--json"])
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, _schema("connect_report.schema.json"))
+    assert report["status"] == "EscapeWitness"
+    records = report["witness"]["norm_records"]
+    assert len(records) >= 4 and all(set(r) == {"t", "lift_norm"} for r in records)
+    assert report["witness"]["blow_up_bound"] < report["witness"]["target_path_length"]
+    assert report["witness"]["lift_steps"] == report["lift_steps"]
+    assert elapsed < 30.0
 
 
 def test_cli_connect_non_finite_target(capsys):

@@ -9,9 +9,15 @@ from geoconnect import (
     conjugate_locus_sample, exp, local_log, model_registry, render_report,
 )
 from geoconnect.connect import (
-    CORRECTOR_TOL, LOG_TOL, NEWTON_ITERATIONS, SV_FLOOR, _bumped_path, _newton, _segment_path,
+    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, LOG_TOL, MAX_RETRIES, NEWTON_ITERATIONS, SV_FLOOR,
+    _bumped_path, _lift, _newton, _segment_path,
 )
 from geoconnect.errors import OutOfChart
+from geoconnect.manifold import embedding_point
+
+_DS_CONNECT = ConnectConfig(integrator=IntegratorConfig(
+    rtol=1e-9, atol=1e-11, max_steps=4000, prefer_oracle=True))
+_COST_KEYS = ("lift_steps", "attempts", "newton_iterations")
 
 
 def test_flat_connect_is_exact():
@@ -130,6 +136,112 @@ def test_desitter_unreachable_target_fails_typed():
     assert not out.connected
     assert out.status in {"Stalled", "EscapeWitness", "ConjugateHit", "DomainExit"}
     assert out.v is None
+
+
+def _desitter_targets(seed: int, eta_lo: float, eta_hi: float, count: int) -> list:
+    """Seeded chart points q with eta(P, Q) in [eta_lo, eta_hi], P the embedding of (0, 0)."""
+    d = model_registry("desitter", n=2)
+    rng = np.random.default_rng(seed)
+    targets = []
+    while len(targets) < count:
+        q = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-2.0, 2.0)])
+        if eta_lo <= embedding_point(d, q)[0] <= eta_hi:   # eta(P, Q) = Q_x, P = (1, 0, 0)
+            targets.append(q)
+    return targets
+
+
+def _assert_cost(witness: dict, trace: list):
+    assert witness["lift_steps"] == len(trace)
+    assert witness["attempts"] >= witness["lift_steps"]
+    assert witness["newton_iterations"] >= 0
+
+
+def test_desitter_unreachable_target_escapes_before_the_path_ends():
+    """The lift norm doubles over gaps that halve: the blow-up bound lies
+    before the end of the target path."""
+    d = model_registry("desitter", n=2)
+    p = np.array([0.0, 0.0])
+    out = connect(d, p, np.array([np.pi, 2.5]), _DS_CONNECT)
+    assert out.status == "EscapeWitness"
+    w = out.witness
+    records = w["norm_records"]
+    assert len(records) >= 4
+    times = [r["t"] for r in records[-4:]]
+    g1, g2, g3 = np.diff(times)
+    assert g2 <= DIVERGENCE_GAP_RATIO * g1 and g3 <= DIVERGENCE_GAP_RATIO * g2
+    assert w["blow_up_bound"] == times[-1] + g3
+    assert w["blow_up_bound"] < w["target_path_length"]
+    norms = [r["lift_norm"] for r in records]
+    assert all(b >= 2.0 * a for a, b in zip(norms, norms[1:]))
+    assert w["lift_norms"][-1] == norms[-1]
+    assert len(w["residuals"]) == len(out.lift_trace)
+    _assert_cost(w, out.lift_trace)
+
+
+def test_desitter_reachable_targets_near_the_boundary_lift_to_connected():
+    """The divergence test never refuses a reachable target, even one the
+    lift has to reach through a steep rise of |v|."""
+    d = model_registry("desitter", n=2)
+    p = np.array([0.0, 0.0])
+    for q in _desitter_targets(31, -0.99, -0.8, 40):
+        out = _lift(d, p, q, _segment_path(p, q), _DS_CONNECT)
+        assert out.status == "Connected", (q, out.status, out.witness.get("blow_up_bound"))
+
+
+def test_desitter_unreachable_targets_escape_within_budget():
+    d = model_registry("desitter", n=2)
+    p = np.array([0.0, 0.0])
+    for q in _desitter_targets(34, -1.9, -1.1, 20):
+        out = connect(d, p, q, _DS_CONNECT)
+        assert out.status == "EscapeWitness", (q, out.status, out.witness.get("reason"))
+        assert len(out.lift_trace) <= 40
+        _assert_cost(out.witness, out.lift_trace)
+
+
+def test_domain_exit_and_stall_witnesses_carry_their_cost():
+    s = model_registry("sphere2")
+    out = connect(s, np.array([1.5, 0.0]), np.array([1e-12, 0.0]))
+    assert out.status == "DomainExit"
+    _assert_cost(out.witness, out.lift_trace)
+    # a lift whose final endpoint misses q: report its cost as well
+    d = model_registry("desitter", n=2)
+    p = np.array([0.0, 0.0])
+    q = np.array([0.3, 0.2])
+    sigma = _segment_path(p, q)
+    out = _lift(d, p, q + 1e-3, sigma, _DS_CONNECT)
+    assert out.status == "Stalled"
+    assert out.witness["reason"] == "final residual above connect_tol"
+    _assert_cost(out.witness, out.lift_trace)
+
+
+def test_conjugate_hits_and_their_detours_carry_their_cost(monkeypatch):
+    """Every third lift corrector run reports a singular frame: each detour's
+    witness then holds the lift's own counts."""
+    module = sys.modules["geoconnect.connect"]   # geoconnect.connect is the function
+    real = module._newton
+    runs = []
+
+    def newton(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if not kwargs.get("sv_floor"):      # local_log's solve, not the lift's corrector
+            return result
+        runs.append(result[4])
+        if len(runs) % 3 == 0:
+            return ("conjugate",) + result[1:]
+        return result
+
+    monkeypatch.setattr(module, "_newton", newton)
+    s = model_registry("sphere2")
+    out = connect(s, np.array([1.720708, -2.007481]), np.array([0.771795, -4.837131]))
+    assert out.status == "ConjugateHit"
+    detours = out.witness["attempted_detours"]
+    assert len(detours) == MAX_RETRIES + 1
+    for k, w in enumerate(detours):
+        assert w["retry"] == k
+        assert {"t_hit", "v_at_hit", "min_singular_value"} <= set(w)
+        assert w["attempts"] == 3 and w["lift_steps"] == 2
+    assert sum(w["newton_iterations"] for w in detours) == sum(runs)
+    assert out.witness["lift_steps"] == 2
 
 
 def test_domain_exit_status():

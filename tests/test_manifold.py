@@ -223,6 +223,27 @@ def test_chart_domain_margin_matches_reference():
             assert got == want or (np.isnan(got) and np.isnan(want)), (dom, x)
 
 
+def test_chart_domain_margin_ignores_a_bound_group_holding_nan():
+    """A NaN anywhere in a bound group drops that whole group, as np.min's NaN
+    does under min(m, nan); the other group still counts, and a zero margin
+    keeps its sign."""
+    dom = ChartDomain(np.array([0.0, -1.0, 0.5]), np.array([np.pi, 2.0, 3.0]))
+    for k in range(3):
+        x = np.array([0.25, 1.5, 2.75])
+        x[k] = np.nan
+        want = _margin_reference(dom, x)
+        assert dom.margin(x) == want == np.inf
+    x = np.array([0.25, 1.5, np.nan])
+    one_sided = ChartDomain(np.array([0.0, -1.0, -np.inf]), np.array([np.pi, 2.0, 3.0]))
+    assert one_sided.margin(x) == _margin_reference(one_sided, x) == 0.25
+    assert isinstance(dom.margin(np.array([0.25, 1.5, 2.75])), float)
+    # a tie of 0.0 and -0.0 keeps the sign np.min gives it
+    zeros = ChartDomain(np.array([0.0, 0.0, -np.inf]), np.full(3, np.inf))
+    for x in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0]):
+        want = _margin_reference(zeros, np.array(x))
+        assert np.copysign(1.0, zeros.margin(np.array(x))) == np.copysign(1.0, want)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_desitter_connection_matches_fd(n):
     model = model_registry("desitter", n=n)
