@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -275,12 +276,15 @@ def _initial_step(rhs: Callable, y0: np.ndarray, f0: np.ndarray, t_end: float,
 
 
 def _dp_step(rhs: Callable, t: float, y: np.ndarray, f: np.ndarray, h: float,
-             K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Dormand-Prince trial step of size h; the 7 stage slopes land in K."""
+             K: np.ndarray, stages: list, K_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Dormand-Prince trial step of size h; the 7 stage slopes land in K.
+
+    ``stages`` holds (s, K[:s].T, A[s, :s], C[s]) for s = 1..5 and ``K_b`` is
+    K[:-1].T: views of K, built once per integration."""
     K[0] = f
-    for s, a, c in _STAGES:
-        K[s] = rhs(t + c * h, y + np.dot(K[:s].T, a) * h)
-    y_new = y + h * np.dot(K[:-1].T, _B)
+    for s, K_s, a, c in stages:
+        K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+    y_new = y + h * np.dot(K_b, _B)
     f_new = rhs(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
@@ -303,9 +307,12 @@ def _integrate(
     [0.2, 10] and to at most 1 right after a rejection.  A step below
     10 ulp(t) or NaN, or more than max_steps accepted steps, raises
     StepSizeUnderflow; a non-finite y0 or t_end raises ValueError.  When a
-    monitor's fn(t, y) is non-positive after a step, the path ends with its termination at fn's first zero on that
-    step's interpolant (Brent); the earliest zero wins, the earlier-listed
-    monitor on a tie.  rtol is raised to at least 100 machine epsilons.
+    monitor's fn(t, y) is non-positive after a step, the path ends with its
+    termination at fn's first zero on that step's interpolant (Brent); the
+    earliest zero wins, the earlier-listed monitor on a tie.  rtol is raised
+    to at least 100 machine epsilons.
+    Overflow and invalid-operation warnings are suppressed for the whole
+    integration, the monitors and their Brent root finds included.
     A negative t_end is integrated forward in s = -t, which takes the same
     steps as stepping backward in t; t_end = 0 gives the one-node path.
     Returns (ts, ys, sol, termination, term_time, rejected trial steps).
@@ -326,31 +333,36 @@ def _integrate(
         rhs = lambda s, z: -forward(-s, z)
     t_end = abs(t_end)
     rtol = max(rtol, _RTOL_FLOOR)
-    f = rhs(0.0, y)
-    h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
-    accepted = rejected = 0
-    K = np.empty((7, y.size))
-    t = 0.0
-    ts = [t]
-    ys = [y]
-    segments = []
-    termination = Termination.REACHED_TMAX
-    term_time = t_end
-    while True:
-        min_step = 10 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
-        retried = False
-        # overflow inside a trial step surfaces as a typed failure, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow inside a trial step surfaces as a typed failure, not a warning;
+    # one context for the whole loop, as numpy 2 cannot re-enter an errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = rhs(0.0, y)
+        h_abs = _initial_step(rhs, y, f, t_end, rtol, atol)
+        accepted = rejected = 0
+        K = np.empty((7, y.size))
+        K_T, K_b = K.T, K[:-1].T
+        stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+        t = 0.0
+        abs_y = np.abs(y)
+        ts = [t]
+        ys = [y]
+        segments = []
+        termination = Termination.REACHED_TMAX
+        term_time = t_end
+        while True:
+            min_step = 10 * math.ulp(t)
+            h_abs = max(h_abs, min_step)
+            retried = False
             while True:
                 if not h_abs >= min_step:   # also a NaN step
                     raise StepSizeUnderflow(sign * t)
                 t_new = min(t + h_abs, t_end)
                 h = t_new - t
                 h_abs = abs(h)
-                y_new, f_new = _dp_step(rhs, t, y, f, h, K)
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err = _rms(np.dot(K.T, _E) * h / scale)
+                y_new, f_new = _dp_step(rhs, t, y, f, h, K, stages, K_b)
+                abs_y_new = np.abs(y_new)
+                scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+                err = _rms(np.dot(K_T, _E) * h / scale)
                 if err < 1:
                     break
                 h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
@@ -361,45 +373,50 @@ def _integrate(
             if retried:
                 factor = min(1, factor)
             h_abs *= factor
-        accepted += 1
-        segment = _Segment(t, h, y, K.T.dot(_P))
-        segments.append(segment)
-        hit = None
-        for fn, kind in monitors:
-            if fn(sign * t_new, y_new) <= 0.0:
-                g = lambda s: fn(sign * s, segment(s))
-                if g(t) <= 0.0:
-                    t_star = t
-                else:
-                    t_star = _brent(g, t, t_new, xtol=1e-12, rtol=8.9e-16)
-                if hit is None or t_star < hit[0]:
-                    hit = (t_star, kind)
-        if hit is not None:
-            term_time, termination = hit
-            ts.append(term_time)
-            ys.append(segment(term_time))
-            break
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        if accepted >= max_steps:
-            raise StepSizeUnderflow(sign * t, "max_steps exceeded")
-        if t >= t_end:
-            break
+            accepted += 1
+            segment = _Segment(t, h, y, K_T.dot(_P))
+            segments.append(segment)
+            hit = None
+            for fn, kind in monitors:
+                if fn(sign * t_new, y_new) <= 0.0:
+                    g = lambda s: fn(sign * s, segment(s))
+                    if g(t) <= 0.0:
+                        t_star = t
+                    else:
+                        t_star = _brent(g, t, t_new, xtol=1e-12, rtol=8.9e-16)
+                    if hit is None or t_star < hit[0]:
+                        hit = (t_star, kind)
+            if hit is not None:
+                term_time, termination = hit
+                ts.append(term_time)
+                ys.append(segment(term_time))
+                break
+            t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
+            ts.append(t)
+            ys.append(y)
+            if accepted >= max_steps:
+                raise StepSizeUnderflow(sign * t, "max_steps exceeded")
+            if t >= t_end:
+                break
     ts_arr = np.asarray(ts) if sign > 0 else 0.0 - np.asarray(ts)   # no -0.0 start
     return (ts_arr, np.asarray(ys), DenseSolution(ts_arr, segments, sign), termination,
             sign * term_time, rejected)
 
 
 def geodesic_rhs(model: ManifoldModel) -> Callable:
+    """(x, v)' = (v, -Gamma(x)(v, v)), with the Christoffel callback read once, here.
+
+    Gamma v is one 2-D product over the flattened (k, i) rows, bitwise equal
+    to the stacked ``Gamma @ v``; ``Gamma.dot(v)`` on the 3-D array itself can
+    differ from it in the last bit."""
     n = model.dim
+    christoffel = (model.christoffel if model.christoffel is not None
+                   else partial(christoffel_raw, model))
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x = y[:n]
         v = y[n:]
-        gamma = christoffel_raw(model, x)
-        acc = -(gamma @ v) @ v
-        return np.concatenate([v, acc])
+        Gv = np.asarray(christoffel(y[:n]), dtype=float).reshape(n * n, n).dot(v).reshape(n, n)
+        return np.concatenate((v, (-Gv).dot(v)))
 
     return rhs
 
@@ -432,7 +449,7 @@ def integrate_geodesic(
     ts, ys, sol, term, t_term, rejected = _integrate(
         geodesic_rhs(model), y0, t_end, cfg.rtol, cfg.atol, cfg.max_steps,
         [*chart_exit_monitors(model),
-         (lambda t, y: blow - float(np.max(np.abs(y))), Termination.BLOW_UP)],
+         (lambda t, y: blow - float(np.abs(y).max()), Termination.BLOW_UP)],
     )
     return GeodesicPath(model, ts, ys, term, t_term, sol, rejected)
 

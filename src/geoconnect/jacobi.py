@@ -72,20 +72,30 @@ class VariationalPath(GeodesicPath):
 
 
 def _variational_rhs(model: ManifoldModel):
+    """(x, v, J, J')' = (v, -Gv v, J', -dGvv^T J - 2 Gv J') with Gv = Gamma v and
+    dGvv = dGamma v v; the Christoffel callbacks are read once, here.  The
+    contractions are 2-D products over flattened leading axes, bitwise equal
+    to the stacked ``@`` forms; ``ndarray.dot`` on the 3-D and 4-D arrays
+    themselves can differ from them in the last bit."""
     n = model.dim
+    nn = n * n
+    christoffel = (model.christoffel if model.christoffel is not None
+                   else partial(christoffel_raw, model))
+    christoffel_deriv = (model.christoffel_deriv if model.christoffel_deriv is not None
+                         else partial(christoffel_deriv_raw, model))
 
     def rhs(t: float, y: np.ndarray):
         x = y[:n]
         v = y[n:2 * n]
-        J = y[2 * n:2 * n + n * n].reshape(n, n)
-        K = y[2 * n + n * n:].reshape(n, n)
-        G = christoffel_raw(model, x)
-        dG = christoffel_deriv_raw(model, x)
-        Gv = G @ v                      # Gv[k, i] = Gamma^k_ij v^j
-        acc = -Gv @ v
-        dGvv = (dG @ v) @ v             # dGvv[l, k] = d_l Gamma^k_ij v^i v^j
-        Kdot = -dGvv.T @ J - 2.0 * Gv @ K
-        return np.concatenate([v, acc, K.ravel(), Kdot.ravel()])
+        J = y[2 * n:2 * n + nn].reshape(n, n)
+        K = y[2 * n + nn:]                 # J', flattened
+        G = np.asarray(christoffel(x), dtype=float)
+        dG = np.asarray(christoffel_deriv(x), dtype=float)
+        Gv = G.reshape(nn, n).dot(v).reshape(n, n)      # Gv[k, i] = Gamma^k_ij v^j
+        # dGvv[l, k] = d_l Gamma^k_ij v^i v^j
+        dGvv = dG.reshape(nn * n, n).dot(v).reshape(nn, n).dot(v).reshape(n, n)
+        Kdot = (-dGvv.T).dot(J) - (2.0 * Gv).dot(K.reshape(n, n))
+        return np.concatenate((v, (-Gv).dot(v), K, Kdot.ravel()))
 
     return rhs
 
@@ -120,8 +130,8 @@ def integrate_variational(
     base_blow = cfg.blowup_norm
 
     def blow_fn(t, y):
-        m = base_blow - float(np.max(np.abs(y[:2 * n])))
-        var = float(np.max(np.abs(y[2 * n:])))
+        m = base_blow - float(np.abs(y[:2 * n]).max())
+        var = float(np.abs(y[2 * n:]).max())
         return min(m, VARIATIONAL_BOUND - var)
 
     monitors = [*chart_exit_monitors(model), (blow_fn, Termination.BLOW_UP)]

@@ -13,6 +13,7 @@ from geoconnect.connect import (
     _bumped_path, _lift, _newton, _segment_path,
 )
 from geoconnect.errors import OutOfChart
+from geoconnect.jacobi import _wrap_delta, dexp_matrix
 from geoconnect.manifold import embedding_point
 
 _DS_CONNECT = ConnectConfig(integrator=IntegratorConfig(
@@ -350,7 +351,11 @@ def test_fast_path_trace_records_the_newton_residual():
     out = connect(s, p, q)
     assert out.witness == {"method": "local_log"}
     residual = out.lift_trace[0]["residual"]
-    assert 0.0 < residual < LOG_TOL    # Newton's last residual, not a placeholder 0
+    # Newton's last residual, not a placeholder: the miss of exp_p(v) at the
+    # returned v, which may be exactly 0 when Newton lands on q
+    frame = dexp_matrix(s, p, out.v, ConnectConfig().integrator)
+    assert residual == np.linalg.norm(_wrap_delta(s, frame.endpoint - q))
+    assert residual < LOG_TOL
     assert connect_report(s, out, p, q)["max_residual"] == residual
 
 

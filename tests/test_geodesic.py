@@ -355,23 +355,85 @@ def test_integrator_config_with():
     assert cfg2.atol == cfg.atol
 
 
-def test_step_counters():
-    """Each attempt costs six RHS calls, after one initial slope and one probe."""
+def _counting(calls: list, fn):
+    return lambda *args: calls.append(args) or fn(*args)
+
+
+def test_step_counters(monkeypatch):
+    """Each attempt costs six RHS calls, after one initial slope and one probe.
+
+    The right-hand sides read the model's callbacks, and fall back to
+    ``manifold.fd_christoffel``, when an integration starts: a callback
+    swapped in afterwards, as a tracer does, still sees every call."""
     s = model_registry("sphere2")
     d = model_registry("desitter", n=2)
-    calls = []
-    counted = dataclasses.replace(
-        s, christoffel=lambda x: calls.append(x) or s.christoffel(x))
+    para = model_registry("paraboloid")
+    calls, gamma_calls, dgamma_calls, fd_calls = [], [], [], []
+    counted = dataclasses.replace(s, christoffel=_counting(calls, s.christoffel))
+    counted_d = dataclasses.replace(
+        d, christoffel=_counting(gamma_calls, d.christoffel),
+        christoffel_deriv=_counting(dgamma_calls, d.christoffel_deriv))
+    monkeypatch.setattr(sys.modules["geoconnect.manifold"], "fd_christoffel",
+                        _counting(fd_calls, geoconnect.manifold.fd_christoffel))
     paths = [
         integrate_geodesic(counted, np.array([0.5, 0.0]), np.array([-1.0, 1e-3]), t_max=3.0),
         integrate_geodesic(s, np.array([0.5, 1.0]), np.array([-1.0, 0.0]), t_max=2.0),
-        integrate_variational(d, np.array([0.2, 0.3]), np.array([0.4, 1.1]), t_max=3.0),
+        integrate_variational(counted_d, np.array([0.2, 0.3]), np.array([0.4, 1.1]),
+                              t_max=3.0),
+        integrate_geodesic(para, np.array([0.2, -0.1]), np.array([0.8, 0.5]), t_max=2.0),
     ]
     assert paths[0].rejected > 0
     assert paths[0].rhs_evals == len(calls)
+    assert paths[2].rhs_evals == len(gamma_calls) == len(dgamma_calls)
+    assert paths[3].rhs_evals == len(fd_calls)
     for path in paths:
         assert path.steps == len(path.ts) - 1 > 0
         assert path.rhs_evals == 2 + 6 * (path.steps + path.rejected)
+
+
+def _chart_points(model, rng, count: int) -> np.ndarray:
+    """Points drawn inside the chart's box, cut to [-2, 2], away from its faces."""
+    lo = np.maximum(model.domain.lower, -2.0)
+    hi = np.minimum(model.domain.upper, 2.0)
+    return lo + (hi - lo) * rng.uniform(0.1, 0.9, size=(count, model.dim))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values, signs of zero included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("sphere2", {}), ("sphere", {"n": 3}), ("sphere", {"n": 4}), ("hyperbolic2", {}),
+    ("desitter", {"n": 2}), ("desitter", {"n": 3}), ("clifton_pohl", {}),
+    ("paraboloid", {}), ("euclidean", {"n": 3}), ("halfplane_dsl", {}),
+])
+def test_rhs_contractions_are_bitwise_the_stacked_matmuls(name, kw):
+    """Both right-hand sides equal the stacked ``@`` formulas to the last bit:
+    the flattened 2-D products must hold on whatever BLAS runs the tests."""
+    from geoconnect.manifold import christoffel_deriv_raw, christoffel_raw
+
+    if name == "halfplane_dsl":
+        model = geoconnect.model_from_config_text(
+            "[manifold]\ntype = dsl\ndim = 2\n"
+            "g_1_1 = 1/x2^2\ng_2_2 = 1/x2^2\nlower = -inf, 1e-8\n")
+    else:
+        model = model_registry(name, **kw)
+    n = model.dim
+    rng = np.random.default_rng([n, len(name)])
+    geo, var = geodesic.geodesic_rhs(model), jacobi._variational_rhs(model)
+    for x in _chart_points(model, rng, 200):
+        v = rng.normal(size=n)
+        J, K = rng.normal(size=(2, n, n))
+        G = christoffel_raw(model, x)
+        dG = christoffel_deriv_raw(model, x)
+        assert _same_bits(geo(0.0, np.concatenate([x, v])),
+                          np.concatenate([v, -(G @ v) @ v]))
+        Gv = G @ v
+        dGvv = (dG @ v) @ v
+        Kdot = -dGvv.T @ J - 2.0 * Gv @ K
+        assert _same_bits(var(0.0, np.concatenate([x, v, J.ravel(), K.ravel()])),
+                          np.concatenate([v, -Gv @ v, K.ravel(), Kdot.ravel()]))
 
 
 def test_flat_shot_rejects_no_step():
