@@ -31,11 +31,12 @@ __all__ = [
 ]
 
 
-CORRECTOR_TOL = 1e-9      # residual a lift corrector accepts
-NEWTON_ITERATIONS = 8     # corrector iteration budget
+CORRECTOR_TOL = 1e-9      # residual the lift's last corrector accepts
+NEWTON_ITERATIONS = 8     # iteration budget of an intermediate lift corrector
 LOG_TOL = 1e-10           # residual local_log accepts
-LOG_ITERATIONS = 50       # local_log iteration budget
-FAR_RESIDUAL = 1e-5       # above it Newton steps must contract; local_log integrates coarsely
+LOG_ITERATIONS = 50       # iteration budget of local_log and the lift's last corrector
+FAR_RESIDUAL = 1e-5       # above it Newton integrates coarsely and its steps must shrink;
+                          # the lift's intermediate points stop here
 SV_FLOOR = 1e-6           # smallest singular value of a regular differential
 ESCAPE_FACTOR = 1e4       # lift escape bound, in target path lengths
 DIVERGENCE_START = 0.25   # first norm record at |v| >= this many target path lengths
@@ -79,23 +80,30 @@ class LiftOutcome:
 
 def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarray,
             fine: IntegratorConfig, coarse: IntegratorConfig, tol: float,
-            max_iter: int, vcap: float, sv_floor: float = 0.0):
+            max_iter: int, vcap: float, seed_step: float, sv_floor: float = 0.0):
     """Full-step Newton on exp_p(v) = target, for local_log and the lift's corrector.
 
     Returns (flag, v, frame, residual, iterations), flag one of 'ok' (frame
     is d(exp_p)_v on ``fine``, residual below ``tol``), 'conjugate' (frame
     singular or below ``sv_floor``), 'escape' (frame is the DomainEscape) or
-    'fail'.  While the residual is at or above FAR_RESIDUAL, iterates are
-    integrated on ``coarse``, and the iteration fails at the first step whose
-    simplified correction J_k^{-1} F(v_{k+1}) is not shorter than Delta v_k
-    (Deuflhard's natural monotonicity test, *Newton Methods for Nonlinear
-    Problems*, 2004).  It also fails on an iterate that is not finite or
-    exceeds ``vcap``, on a differential that cannot be evaluated, and after
-    ``max_iter`` steps.
+    'fail'.
+
+    While the residual is at or above FAR_RESIDUAL, iterates are integrated
+    on ``coarse``, and a converging iteration must have shrinking corrections
+    (Deuflhard, *Newton Methods for Nonlinear Problems*, 2004).  The run
+    fails at the first correction Delta v_k that is not shorter than the step
+    before it, before v_{k+1} is integrated; the step before the first
+    correction is ``seed_step``, the one that produced the seed v.  It also
+    fails at the first simplified correction J_k^{-1} F(v_{k+1}) that is not
+    shorter than Delta v_k (the natural monotonicity test).  It fails on an
+    iterate that is not finite or exceeds ``vcap``, on a differential that
+    cannot be evaluated, and after ``max_iter`` steps.
     """
     frame = None
     residual = np.inf
-    step = None  # (J_k, |Delta v_k|) of the last step taken from a far residual
+    # the step that produced v: J_k (None for the seed, or after a step taken
+    # from a near residual) and |Delta v_k| (inf after a near step)
+    J_prev, dv_prev = None, seed_step
     for it in range(max_iter):
         if not np.linalg.norm(v) <= vcap:  # also catches inf and nan
             return "fail", v, frame, residual, it
@@ -111,30 +119,37 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
         residual = float(np.linalg.norm(r))
         if residual < tol and ic is fine:
             return "ok", v, frame, residual, it
-        if step is not None and far and residual >= FAR_RESIDUAL:
-            J_prev, dv_prev = step
-            if np.linalg.norm(np.linalg.solve(J_prev, r)) >= dv_prev:
-                return "fail", v, frame, residual, it
+        if (J_prev is not None and far and residual >= FAR_RESIDUAL
+                and np.linalg.norm(np.linalg.solve(J_prev, r)) >= dv_prev):
+            return "fail", v, frame, residual, it
         if frame.min_singular_value < sv_floor:
             return "conjugate", v, frame, residual, it
         try:
             dv = np.linalg.solve(frame.matrix, r)
         except np.linalg.LinAlgError:
             return "conjugate", v, frame, residual, it
-        step = (frame.matrix, float(np.linalg.norm(dv))) if far else None
+        dv_norm = float(np.linalg.norm(dv))
+        if residual >= FAR_RESIDUAL and not dv_norm < dv_prev:
+            return "fail", v, frame, residual, it
+        J_prev, dv_prev = (frame.matrix, dv_norm) if far else (None, np.inf)
         v = v - dv
     return "fail", v, frame, residual, max_iter
+
+
+def _coarse(integrator: IntegratorConfig) -> IntegratorConfig:
+    """The integrator Newton steers with while it is far from the root; an
+    oracle config keeps its oracle frames."""
+    return integrator.with_(rtol=max(integrator.rtol, 1e-6),
+                            atol=max(integrator.atol, 1e-8))
 
 
 def _log_newton(model: ManifoldModel, p: np.ndarray, target: np.ndarray,
                 cfg: ConnectConfig):
     """local_log's Newton solve, returning the ``_newton`` tuple."""
     v = target - p
-    # far from the root a cheap integration is enough to steer Newton
-    coarse = cfg.integrator.with_(rtol=max(cfg.integrator.rtol, 1e-6),
-                                  atol=max(cfg.integrator.atol, 1e-8))
-    return _newton(model, p, v, target, cfg.integrator, coarse, LOG_TOL, LOG_ITERATIONS,
-                   vcap=100.0 * (1.0 + np.linalg.norm(v)))
+    v0 = float(np.linalg.norm(v))   # the chart-difference seed's step from v = 0
+    return _newton(model, p, v, target, cfg.integrator, _coarse(cfg.integrator), LOG_TOL,
+                   LOG_ITERATIONS, vcap=100.0 * (1.0 + v0), seed_step=v0)
 
 
 def local_log(
@@ -145,13 +160,16 @@ def local_log(
 ) -> np.ndarray:
     """Invert exp_p near p by full-step Newton iteration seeded at the chart difference.
 
-    The iteration and its stopping rule are those of the lift's corrector:
-    while the residual is above 1e-5, it stops at the first step whose
-    simplified correction J_k^{-1} F(v_{k+1}) is not shorter than the step
-    Delta v_k just taken (Deuflhard's natural monotonicity test).  Here that
-    phase runs on a coarse integrator, and iterates are capped at
-    100 * (1 + |v0|).  It also stops when exp_p or its differential cannot
-    be evaluated, or after LOG_ITERATIONS iterations.
+    The iteration and its stopping rules are those of the lift's corrector.
+    While the residual is above 1e-5, iterates are integrated on a coarse
+    integrator, and the run stops at the first correction that is not
+    shorter than the step before it, before that correction's iterate is
+    integrated.  The seed's own step, from v = 0, is |q - p|, so a first
+    correction longer than that ends the fast path after one frame.  It also
+    stops at the first simplified correction J_k^{-1} F(v_{k+1}) not shorter
+    than Delta v_k (Deuflhard's natural monotonicity test), on an iterate
+    above 100 * (1 + |v0|), when exp_p or its differential cannot be
+    evaluated, or after LOG_ITERATIONS iterations.
 
     Raises NoConvergence in each of these cases.  That means q is not
     reachable by full-step Newton from the chart-difference seed, not that
@@ -227,6 +245,16 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     its cost: accepted ``lift_steps``, predictor-corrector ``attempts`` and
     the corrector's summed ``newton_iterations``.
 
+    Each target is predicted through the last accepted frame and corrected by
+    ``_newton``, seeded with the predictor's step.  An intermediate point
+    only has to lie in the next corrector's Newton basin, so every target
+    before sigma(ell) is corrected on the coarse integrator to FAR_RESIDUAL.
+    Only the last target is corrected as ``local_log`` corrects: coarse while
+    far, then on ``cfg.integrator`` to CORRECTOR_TOL, within LOG_ITERATIONS,
+    since it starts from a coarse point (Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, 2003).  The final connect_tol check
+    reads that fine frame.
+
     Divergence is read off the accepted norms.  |v| is recorded at the first
     step with |v| >= DIVERGENCE_START * ell and again whenever it grows by
     DIVERGENCE_GROWTH over the last record.  When the last DIVERGENCE_GAPS
@@ -242,7 +270,9 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     dt_min = ell * 1e-7
     trace: list[dict] = []
     records: list[dict] = []  # (t, |v|) at each doubling of the accepted norm
-    frame = dexp_matrix(model, p, v, cfg.integrator)  # the identity at v = 0
+    fine = cfg.integrator
+    coarse = _coarse(fine)
+    frame = dexp_matrix(model, p, v, fine)  # the identity at v = 0
     attempts = 0
     newton_iterations = 0
     fails = 0
@@ -262,6 +292,7 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
             return refuse("Stalled", {"reason": "max lift steps", "t": t})
         attempts += 1
         dt = min(dt, ell - t)
+        last = t + dt >= ell
         target = sigma.point(t + dt)
         try:
             dv = np.linalg.solve(frame.matrix,
@@ -269,9 +300,11 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
         except np.linalg.LinAlgError:
             return refuse("ConjugateHit",
                           {"t_hit": t, "min_singular_value": frame.min_singular_value})
+        near_ic, tol, budget = ((fine, CORRECTOR_TOL, LOG_ITERATIONS) if last
+                                else (coarse, FAR_RESIDUAL, NEWTON_ITERATIONS))
         flag, v_new, frame_new, res, it = _newton(
-            model, p, v + dv, target, cfg.integrator, cfg.integrator, CORRECTOR_TOL,
-            NEWTON_ITERATIONS, vcap=2.0 * escape_bound, sv_floor=SV_FLOOR)
+            model, p, v + dv, target, near_ic, coarse, tol, budget, vcap=2.0 * escape_bound,
+            sv_floor=SV_FLOOR, seed_step=float(np.linalg.norm(dv)))
         newton_iterations += it
         if flag == "escape":
             return refuse("DomainExit", {

@@ -241,13 +241,42 @@ def christoffel_eval(model: ManifoldModel, x) -> np.ndarray:
     return gamma
 
 
+def _metric_stencil(model: ManifoldModel, x: np.ndarray, rel_step: float):
+    """(g, dg, ddg) at x from one stencil of 1 + 2 n^2 metric calls, step
+    rel_step * max(1, |x_l|): central first differences, central second
+    differences on the diagonal and four-point mixed differences off it."""
+    n = len(x)
+    h = rel_step * np.maximum(1.0, np.abs(x))
+
+    def g_at(*shifts):
+        y = x.copy()
+        for l, s in shifts:
+            y[l] += s * h[l]
+        return np.asarray(model.metric(y), dtype=float)
+
+    g = g_at()
+    dg = np.empty((n, n, n))
+    ddg = np.empty((n, n, n, n))
+    for l in range(n):
+        gp, gm = g_at((l, 1)), g_at((l, -1))
+        dg[l] = (gp - gm) / (2.0 * h[l])
+        ddg[l, l] = (gp - 2.0 * g + gm) / (h[l] * h[l])
+        for m in range(l):
+            ddg[l, m] = ddg[m, l] = (g_at((l, 1), (m, 1)) - g_at((l, 1), (m, -1))
+                                     - g_at((l, -1), (m, 1)) + g_at((l, -1), (m, -1))
+                                     ) / (4.0 * h[l] * h[m])
+    return g, dg, ddg
+
+
 def christoffel_deriv_raw(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """dGamma[l, k, i, j] = d Gamma^k_ij / d x_l (analytic or central difference)."""
+    """dGamma[l, k, i, j] = d Gamma^k_ij / d x_l: analytic; else a central
+    difference of Gamma; else, on a metric-only model, the Levi-Civita formula
+    on one finite-difference stencil of the metric."""
     if model.christoffel_deriv is not None:
         return np.asarray(model.christoffel_deriv(x), dtype=float)
-    # Wider step when Gamma itself is finite-differenced: keeps fd noise in check.
-    return central_difference(lambda y: christoffel_raw(model, y), x,
-                              1e-6 if model.christoffel is not None else 1e-4)
+    if model.christoffel is not None:
+        return central_difference(lambda y: christoffel_raw(model, y), x, 1e-6)
+    return christoffel_deriv_from_metric(x, *_metric_stencil(model, x, 1e-4))
 
 
 def inner(model: ManifoldModel, x, u, w) -> float:

@@ -17,7 +17,7 @@ from geoconnect import (
     ConfigError, ConnectConfig, christoffel_eval, dsl, integrate_geodesic, metric_eval,
     model_from_config_text, model_registry,
 )
-from geoconnect.manifold import fd_christoffel
+from geoconnect.manifold import christoffel_deriv_raw, fd_christoffel
 from geoconnect.cli import main
 
 
@@ -99,6 +99,9 @@ def test_dsl_off_diagonal_connection_matches_fd():
             xm = x.copy(); xm[l] -= h
             dgamma[l] = (model.christoffel(xp) - model.christoffel(xm)) / (2 * h)
         assert np.allclose(model.christoffel_deriv(x), dgamma, atol=1e-7)
+        # the builtin's one-stencil finite-difference dGamma matches the exact one
+        assert np.allclose(christoffel_deriv_raw(builtin, x), model.christoffel_deriv(x),
+                           atol=1e-7)
 
 
 def test_dsl_fault_during_integration_is_typed():

@@ -9,8 +9,8 @@ from geoconnect import (
     conjugate_locus_sample, exp, local_log, model_registry, render_report,
 )
 from geoconnect.connect import (
-    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, LOG_TOL, MAX_RETRIES, NEWTON_ITERATIONS, SV_FLOOR,
-    _bumped_path, _lift, _newton, _segment_path,
+    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, LOG_TOL, MAX_RETRIES,
+    NEWTON_ITERATIONS, SV_FLOOR, _bumped_path, _coarse, _lift, _newton, _segment_path,
 )
 from geoconnect.errors import OutOfChart
 from geoconnect.jacobi import _wrap_delta, dexp_matrix
@@ -112,15 +112,28 @@ def test_local_log_raises_no_convergence():
         local_log(s, p, np.array([0.05, 3.0]))
 
 
-def test_local_log_stops_at_first_non_contracting_step():
+# a far sphere pair whose second Newton correction expands: the fast path
+# used to integrate iterates at |v| = 22.8 and 25.4 before giving up
+_FAR_PAIR = (np.array([0.8, 2.0515150994922253]), np.array([0.9, -0.6484849005077749]))
+
+
+@pytest.mark.parametrize("p,q", [
+    (np.array([1.720708, -2.007481]), np.array([0.771795, -4.837131])),
+    _FAR_PAIR,
+], ids=["expanding", "far"])
+def test_local_log_stops_at_first_non_contracting_step(monkeypatch, p, q):
     """A pair whose full Newton steps expand (|v| 3 -> 8 -> 17 -> ...) must
-    leave the fast path at once, before any iterate winds round the sphere."""
+    leave the fast path at once, before any iterate winds round the sphere:
+    a correction no shorter than the step before it ends the run before the
+    next iterate is integrated."""
     s = model_registry("sphere2")
-    p = np.array([1.720708, -2.007481])
-    q = np.array([0.771795, -4.837131])
+    frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
+                          "dexp_matrix")
     with pytest.raises(NoConvergence) as info:
         local_log(s, p, q)
     assert info.value.iterations <= 3
+    assert len(frames) <= 2
+    assert all(np.linalg.norm(args[2]) <= 2.0 * np.linalg.norm(q - p) for args in frames)
     # the lift still connects it
     out = connect(s, p, q)
     assert out.connected
@@ -402,9 +415,73 @@ def test_lift_checks_its_last_frame_without_a_new_dexp(monkeypatch):
     assert len(at_v) == 1
 
 
+def test_lift_corrects_intermediate_targets_coarsely(monkeypatch):
+    """Only the last target of the lift is corrected on the fine integrator
+    to CORRECTOR_TOL; every target before it stops at FAR_RESIDUAL on the
+    coarse one."""
+    s = model_registry("sphere2")
+    p, q = _FAR_PAIR
+    fine = ConnectConfig().integrator
+    frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
+                          "dexp_matrix")
+    module = sys.modules["geoconnect.connect"]
+    real = module._newton
+    runs = []   # (target, first frame, frame after the last) of each Newton run
+
+    def newton(*args, **kwargs):
+        start = len(frames)
+        result = real(*args, **kwargs)
+        runs.append((args[3], start, len(frames)))
+        return result
+
+    monkeypatch.setattr(module, "_newton", newton)
+    out = connect(s, p, q)
+    assert out.connected and "method" not in out.witness
+    intermediate = [frames[a:b] for target, a, b in runs
+                    if not np.allclose(target, q, rtol=0.0, atol=1e-12)]
+    assert intermediate
+    coarse_cfg = _coarse(fine)
+    assert coarse_cfg != fine
+    assert all(args[3] == coarse_cfg for run in intermediate for args in run)
+    # the last accepted frame is a fine one, at the returned v
+    assert [args[3] for args in frames if np.array_equal(args[2], out.v)] == [fine]
+    residuals = [row["residual"] for row in out.lift_trace]
+    assert all(r < FAR_RESIDUAL for r in residuals[:-1])
+    assert residuals[-1] < CORRECTOR_TOL
+    report = connect_report(s, out, p, q)
+    assert report["max_residual"] == max(residuals)
+
+
+def test_desitter_targets_just_past_the_boundary_are_never_connected():
+    """Intermediate lift points stop at FAR_RESIDUAL: a target with eta <= -1
+    must still be refused, with the paper's divergence witness or a stall."""
+    d = model_registry("desitter", n=2)
+    p = np.array([0.0, 0.0])
+    for q in _desitter_targets(4, -1.1, -1.0001, 30):
+        out = connect(d, p, q, _DS_CONNECT)
+        assert out.status in {"EscapeWitness", "Stalled"}, (q, out.status)
+        assert out.v is None
+        _assert_cost(out.witness, out.lift_trace)
+
+
+def test_lift_gives_its_last_target_the_local_log_budget():
+    """A reachable target near eta = -1 (eta = -0.99924, |v| = 78): from a
+    point corrected only to FAR_RESIDUAL, Newton on the finite-difference
+    oracle frame converges linearly and needs more than NEWTON_ITERATIONS
+    to reach CORRECTOR_TOL; the last target gets LOG_ITERATIONS."""
+    d = model_registry("desitter", n=2)
+    p = np.array([0.0, 0.0])
+    q = np.array([2.532760489596469, 0.6490252513542902])
+    out = connect(d, p, q, _DS_CONNECT)
+    assert out.status == "Connected"
+    assert out.lift_trace[-1]["residual"] < CORRECTOR_TOL
+    assert np.linalg.norm(exp(d, p, out.v, _DS_CONNECT.integrator) - q) < _DS_CONNECT.connect_tol
+
+
 def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
     """With the corrector's settings (fine integrator only, its iteration
-    budget), the shared Newton routine gives up on the expanding pair of
+    budget) and no seed step to compare the first correction with, the
+    shared Newton routine gives up on the expanding pair of
     ``test_local_log_stops_at_first_non_contracting_step`` within 3 frames."""
     s = model_registry("sphere2")
     p = np.array([1.720708, -2.007481])
@@ -413,6 +490,6 @@ def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
     frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
                           "dexp_matrix")
     flag, *_ = _newton(s, p, q - p, q, fine, fine, CORRECTOR_TOL, NEWTON_ITERATIONS,
-                       vcap=np.inf, sv_floor=SV_FLOOR)
+                       vcap=np.inf, seed_step=np.inf, sv_floor=SV_FLOOR)
     assert flag == "fail"
     assert len(frames) <= 3
