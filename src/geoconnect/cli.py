@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -170,8 +169,7 @@ def cmd_exp(args) -> int:
 
 def cmd_connect(args) -> int:
     model = _resolve_model(args)
-    cfg = ConnectConfig(path_kind=args.path)
-    cfg = replace(cfg, integrator=_integrator(args, cfg.integrator))
+    cfg = ConnectConfig(integrator=_integrator(args, ConnectConfig().integrator))
     outcome = connect(model, getattr(args, "from"), args.to, cfg)
     report = connect_report(model, outcome, getattr(args, "from"), args.to)
     if args.json:
@@ -327,7 +325,6 @@ def build_parser() -> _Parser:
     _add_model_args(p)
     p.add_argument("--from", type=_vector, required=True)
     p.add_argument("--to", type=_vector, required=True)
-    p.add_argument("--path", choices=["segment", "aux"], default="segment")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_connect)
 

@@ -1,29 +1,27 @@
-"""Two-point geodesic connection by lifting a target path through exp_p.
+"""Two-point geodesic connection by lifting the chart segment through exp_p.
 
-The connector solves exp_p(v) = q by continuation: a target path sigma from
-a nearby regular start to q is tracked in the tangent space by a predictor
-step through the inverse differential of exp_p plus a Newton corrector.
-Failures are typed, never raised: a singular differential (conjugate hit,
-with detour retries), a lift norm that diverges before the target path ends
+``connect`` first tries ``local_log``, full-step Newton from the chart
+difference q - p.  Otherwise it lifts one target path, the chart segment
+sigma from p to q, into the tangent space by continuation from v = 0: a
+predictor step through the inverse differential of exp_p plus a Newton
+corrector.  Failures are typed, never raised: a singular differential
+(conjugate hit), a lift norm that diverges before the target path ends
 (escape witness), leaving the maximal domain, or step underflow.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure, NoConvergence, OutOfChart, StepSizeUnderflow
-from .geodesic import IntegratorConfig, integrate_geodesic
+from .geodesic import IntegratorConfig
 from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
     dexp_matrix,
 )
-from .manifold import (
-    ManifoldModel, VectorField, _check_chart, auxiliary_riemannian, causal_class,
-    orthonormal_frame,
-)
+from .manifold import ManifoldModel, _check_chart, causal_class
 
 __all__ = [
     "ConnectConfig", "TargetPath", "LiftOutcome",
@@ -44,15 +42,12 @@ DIVERGENCE_GROWTH = 2.0   # each later record at least this many times the last
 DIVERGENCE_GAP_RATIO = 0.5  # each gap between records at most this share of the one before
 DIVERGENCE_GAPS = 3       # shrinking gaps that witness a blow-up
 MAX_LIFT_STEPS = 400
-MAX_RETRIES = 8           # detours after a conjugate hit
-BUMP_FRACTION = 0.05      # detour amplitude, in target path lengths
 RAY_SAMPLES = 32          # dexp samples along the fast path's ray
 
 
 @dataclass(frozen=True)
 class ConnectConfig:
     connect_tol: float = 1e-6
-    path_kind: str = "segment"       # 'segment' | 'aux'
     integrator: IntegratorConfig = field(
         # step cap keeps runaway correction geodesics from stalling the lift;
         # the final residual is re-checked against connect_tol regardless
@@ -190,55 +185,6 @@ def _segment_path(p: np.ndarray, q: np.ndarray) -> TargetPath:
     return TargetPath(point=lambda t: p + t * direction, length=length)
 
 
-def _default_timelike_field(model: ManifoldModel) -> VectorField:
-    def eval_v(x: np.ndarray) -> np.ndarray:
-        E, signs = orthonormal_frame(model, x)
-        col = E[:, np.flatnonzero(signs == -1)[0]]
-        # fix the eigenvector sign for continuity across evaluations
-        k = int(np.argmax(np.abs(col)))
-        return col if col[k] > 0 else -col
-    return VectorField(eval_v, name="frame-timelike")
-
-
-def _aux_path(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
-              cfg: ConnectConfig) -> TargetPath:
-    """Geodesic of an auxiliary complete Riemannian metric from p to q."""
-    if model.is_riemannian:
-        # flat chart metric: its geodesics are chart segments
-        return _segment_path(p, q)
-    aux = auxiliary_riemannian(model, _default_timelike_field(model))
-    sub = replace(cfg, path_kind="segment")
-    outcome = connect(aux, p, q, sub)
-    if not outcome.connected:
-        # fall back to the chart segment rather than failing outright
-        return _segment_path(p, q)
-    path = integrate_geodesic(aux, p, outcome.v, sub.integrator, t_max=1.0)
-    return TargetPath(point=lambda t: path.point(min(max(t, 0.0), 1.0)), length=1.0)
-
-
-def _bumped_path(base: TargetPath, p: np.ndarray, q: np.ndarray, k: int,
-                 bump_fraction: float) -> TargetPath:
-    """Detour k: sinusoidal bump transverse to the chord, rotated/scaled per retry."""
-    n = len(p)
-    chord = q - p
-    chord = chord / np.linalg.norm(chord)
-    basis = np.linalg.qr(np.column_stack([chord, np.eye(n)]))[0][:, 1:n]
-    if n >= 3:
-        ang = 2.0 * np.pi * k / 8.0
-        d = np.cos(ang) * basis[:, 0] + np.sin(ang) * basis[:, 1]
-        scale = 1.0 + (k // 8)
-    else:
-        d = basis[:, 0] * (1.0 if k % 2 == 0 else -1.0)
-        scale = 1.0 + (k // 2)
-    ell = base.length
-    delta = bump_fraction * ell * scale
-
-    def pt(t: float) -> np.ndarray:
-        return base.point(t) + delta * np.sin(np.pi * t / ell) * d
-
-    return TargetPath(pt, ell)
-
-
 def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
           cfg: ConnectConfig) -> LiftOutcome:
     """Track sigma through exp_p from v = 0; every refusal's witness carries
@@ -372,10 +318,13 @@ def _ray_is_regular(frame: DifferentialFrame) -> bool:
 
 
 def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> LiftOutcome:
-    """Find v with exp_p(v) = q by path lifting; typed failure otherwise.
+    """Find v with exp_p(v) = q: ``local_log`` near p, else one lift along
+    the chart segment from p to q, whose outcome is returned unchanged.
 
-    OutOfChart if p is not a point inside the chart, or q is not a finite
-    point with dim coordinates."""
+    A ConjugateHit means the segment's lift reached a singular frame; it
+    does not show that q is unreachable, since another target path may
+    avoid that frame.  OutOfChart if p is not a point inside the chart, or
+    q is not a finite point with dim coordinates."""
     cfg = cfg or ConnectConfig()
     p = _check_chart(model, p)
     q = np.array(q, dtype=float)
@@ -398,23 +347,7 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
             "residual": residual,
             "min_singular_value": frame.min_singular_value,
         }], {"method": "local_log"})
-    base = _aux_path(model, p, q, cfg) if cfg.path_kind == "aux" else _segment_path(p, q)
-    attempts: list[dict] = []
-    outcome = None
-    for k in range(MAX_RETRIES + 1):
-        sigma = base if k == 0 else _bumped_path(base, p, q, k - 1, BUMP_FRACTION)
-        outcome = _lift(model, p, q, sigma, cfg)
-        if outcome.status != "ConjugateHit":
-            break
-        attempts.append({"retry": k, **outcome.witness})
-    if outcome.status == "ConjugateHit":
-        outcome.witness["attempted_detours"] = attempts
-        outcome.witness["note"] = (
-            "detour schedule exhausted: either the sampled conjugate locus "
-            "disconnects the target from p, or the detour schedule is inadequate; "
-            "the two cases are not distinguishable from this run"
-        )
-    return outcome
+    return _lift(model, p, q, _segment_path(p, q), cfg)
 
 
 def connect_report(

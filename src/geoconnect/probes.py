@@ -209,16 +209,12 @@ def disprisonment_probe(model: ManifoldModel, seeds: Sequence[Tangent],
                 extents[label] = (np.inf, np.inf)
                 continue
             terms[label] = path.termination.value
+            # one embedding call per node: callbacks take a single point
             n = model.dim
-            half = horizon / 2.0
-            ext_half = 0.0
-            ext_full = 0.0
-            for t, s in zip(path.ts, path.states):
-                d = float(np.linalg.norm(embedding_point(model, s[:n]) - center))
-                ext_full = max(ext_full, d)
-                if t <= half:
-                    ext_half = max(ext_half, d)
-            extents[label] = (ext_half, ext_full)
+            d = np.linalg.norm(
+                np.array([embedding_point(model, s[:n]) for s in path.states]) - center, axis=1)
+            extents[label] = (float(np.max(d[path.ts <= horizon / 2.0], initial=0.0)),
+                              float(np.max(d, initial=0.0)))
         finite_escape = any(
             terms[l] in (Termination.BLOW_UP.value, "StepSizeUnderflow", Termination.CHART_EXIT.value)
             for l in terms

@@ -270,9 +270,9 @@ def test_cli_connect_rtol_keeps_step_cap(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "connect", spy)
     rc = main(["connect", "--model", "sphere2", "--from", "1.2,0.1",
-               "--to", "1.3,0.2", "--rtol", "1e-7", "--path", "aux"])
+               "--to", "1.3,0.2", "--rtol", "1e-7"])
     assert rc == 0
-    expected = replace(ConnectConfig(path_kind="aux"),
+    expected = replace(ConnectConfig(),
                        integrator=ConnectConfig().integrator.with_(rtol=1e-7, atol=1e-7 * 1e-2))
     assert seen["cfg"] == expected
 

@@ -1,6 +1,9 @@
 """Two-point connector: exactness, periodic charts, typed failures, reports."""
+import importlib.resources
+import json
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -9,8 +12,8 @@ from geoconnect import (
     conjugate_locus_sample, exp, local_log, model_registry, render_report,
 )
 from geoconnect.connect import (
-    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, LOG_TOL, MAX_RETRIES,
-    NEWTON_ITERATIONS, SV_FLOOR, _bumped_path, _coarse, _lift, _newton, _segment_path,
+    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, LOG_TOL, NEWTON_ITERATIONS, SV_FLOOR,
+    _coarse, _lift, _newton, _segment_path,
 )
 from geoconnect.errors import OutOfChart
 from geoconnect.jacobi import _wrap_delta, dexp_matrix
@@ -34,7 +37,8 @@ def test_flat_connect_is_exact():
 def test_minkowski_connect_all_causal_classes():
     m = model_registry("minkowski", n=2)
     p = np.zeros(2)
-    for q in [np.array([2.0, 0.5]), np.array([0.5, 2.0]), np.array([1.0, 1.0])]:
+    for q in [np.array([2.0, 0.5]), np.array([0.5, 2.0]), np.array([1.0, 1.0]),
+              np.array([1.0, 2.0])]:
         out = connect(m, p, q)
         assert out.connected
         assert np.allclose(out.v, q, atol=1e-9)
@@ -152,14 +156,20 @@ def test_desitter_unreachable_target_fails_typed():
     assert out.v is None
 
 
-def _desitter_targets(seed: int, eta_lo: float, eta_hi: float, count: int) -> list:
-    """Seeded chart points q with eta(P, Q) in [eta_lo, eta_hi], P the embedding of (0, 0)."""
-    d = model_registry("desitter", n=2)
+def _desitter_targets(seed: int, eta_lo: float, eta_hi: float, count: int,
+                      p=(0.0, 0.0)) -> list:
+    """Seeded chart points q of desitter(len(p)) with eta(P, Q) in [eta_lo, eta_hi],
+    P the embedding of p."""
+    n = len(p)
+    d = model_registry("desitter", n=n)
+    P = embedding_point(d, p)
     rng = np.random.default_rng(seed)
     targets = []
     while len(targets) < count:
-        q = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-2.0, 2.0)])
-        if eta_lo <= embedding_point(d, q)[0] <= eta_hi:   # eta(P, Q) = Q_x, P = (1, 0, 0)
+        q = np.array([rng.uniform(0.0, np.pi) for _ in range(n - 2)]
+                     + [rng.uniform(-np.pi, np.pi), rng.uniform(-2.0, 2.0)])
+        Q = embedding_point(d, q)
+        if eta_lo <= P[:-1] @ Q[:-1] - P[-1] * Q[-1] <= eta_hi:
             targets.append(q)
     return targets
 
@@ -212,6 +222,23 @@ def test_desitter_unreachable_targets_escape_within_budget():
         _assert_cost(out.witness, out.lift_trace)
 
 
+def test_desitter3_connects_exactly_the_reachable_targets():
+    """A reference for n = 3 away from eta = -1: from p = (1.2, 0.3, 0.1), a
+    target with eta(P, Q) > -1 connects and round-trips to connect_tol, and
+    one with eta < -1 ends with the divergence witness."""
+    d = model_registry("desitter", n=3)
+    p = (1.2, 0.3, 0.1)
+    for q in _desitter_targets(16, -0.9, 0.5, 15, p):
+        out = connect(d, p, q, _DS_CONNECT)
+        assert out.status == "Connected", (q, out.status)
+        end = exp(d, np.array(p), out.v, _DS_CONNECT.integrator)
+        assert np.linalg.norm(_wrap_delta(d, end - q)) < _DS_CONNECT.connect_tol
+    for q in _desitter_targets(17, -1.9, -1.1, 15, p):
+        out = connect(d, p, q, _DS_CONNECT)
+        assert out.status == "EscapeWitness", (q, out.status, out.witness.get("reason"))
+        _assert_cost(out.witness, out.lift_trace)
+
+
 def test_domain_exit_and_stall_witnesses_carry_their_cost():
     s = model_registry("sphere2")
     out = connect(s, np.array([1.5, 0.0]), np.array([1e-12, 0.0]))
@@ -228,9 +255,10 @@ def test_domain_exit_and_stall_witnesses_carry_their_cost():
     _assert_cost(out.witness, out.lift_trace)
 
 
-def test_conjugate_hits_and_their_detours_carry_their_cost(monkeypatch):
-    """Every third lift corrector run reports a singular frame: each detour's
-    witness then holds the lift's own counts."""
+def test_conjugate_hit_carries_its_cost(monkeypatch):
+    """Every third lift corrector run reports a singular frame: connect lifts
+    once, along the chart segment, and returns that lift's ConjugateHit with
+    its own counts and a report that matches the schema."""
     module = sys.modules["geoconnect.connect"]   # geoconnect.connect is the function
     real = module._newton
     runs = []
@@ -245,17 +273,20 @@ def test_conjugate_hits_and_their_detours_carry_their_cost(monkeypatch):
         return result
 
     monkeypatch.setattr(module, "_newton", newton)
+    lifts = _count_calls(monkeypatch, ["geoconnect.connect"], "_lift")
     s = model_registry("sphere2")
-    out = connect(s, np.array([1.720708, -2.007481]), np.array([0.771795, -4.837131]))
+    p, q = np.array([1.720708, -2.007481]), np.array([0.771795, -4.837131])
+    out = connect(s, p, q)
     assert out.status == "ConjugateHit"
-    detours = out.witness["attempted_detours"]
-    assert len(detours) == MAX_RETRIES + 1
-    for k, w in enumerate(detours):
-        assert w["retry"] == k
-        assert {"t_hit", "v_at_hit", "min_singular_value"} <= set(w)
-        assert w["attempts"] == 3 and w["lift_steps"] == 2
-    assert sum(w["newton_iterations"] for w in detours) == sum(runs)
-    assert out.witness["lift_steps"] == 2
+    assert len(lifts) == 1
+    w = out.witness
+    assert {"t_hit", "v_at_hit", "min_singular_value"} <= set(w)
+    assert "attempted_detours" not in w
+    assert w["attempts"] == 3 and w["lift_steps"] == 2
+    assert w["newton_iterations"] == sum(runs)
+    schema = json.loads((importlib.resources.files("geoconnect") / "schemas"
+                         / "connect_report.schema.json").read_text())
+    jsonschema.validate(connect_report(s, out, p, q), schema)
 
 
 def test_domain_exit_status():
@@ -278,28 +309,12 @@ def test_clifton_pohl_connect_and_typed_failure():
     assert bad.status in {"DomainExit", "Stalled", "EscapeWitness", "ConjugateHit"}
 
 
-def test_segment_and_bumped_paths():
+def test_segment_path():
     p = np.zeros(2)
     q = np.array([2.0, 0.0])
     base = _segment_path(p, q)
     assert np.allclose(base.point(0.0), p)
     assert np.allclose(base.point(base.length), q)
-    for k in range(4):
-        b = _bumped_path(base, p, q, k, 0.05)
-        assert np.allclose(b.point(0.0), p, atol=1e-12)
-        assert np.allclose(b.point(b.length), q, atol=1e-12)
-        mid = b.point(b.length / 2)
-        assert abs(mid[1]) > 1e-3  # actually detours
-
-
-def test_aux_path_on_indefinite_model():
-    m = model_registry("minkowski", n=2)
-    cfg = ConnectConfig(path_kind="aux")
-    p = np.zeros(2)
-    q = np.array([1.0, 2.0])
-    out = connect(m, p, q, cfg)
-    assert out.connected
-    assert np.allclose(exp(m, p, out.v), q, atol=1e-6)
 
 
 def test_connect_report_and_render():

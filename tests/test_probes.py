@@ -5,8 +5,8 @@ import pytest
 
 from geoconnect import (
     IntegratorConfig, ProbeConfig, ScalarField, Tangent, convex_check,
-    disprisonment_probe, gauss_lemma_check, hyperboloid_sweep_family,
-    model_registry, polyline_family, pseudoconvexity_probe, radial_ray_family,
+    disprisonment_probe, embedding_point, gauss_lemma_check, hyperboloid_sweep_family,
+    integrate_geodesic, model_registry, polyline_family, pseudoconvexity_probe, radial_ray_family,
     spiral_family, weak_properness_probe,
 )
 from geoconnect import probes
@@ -98,6 +98,23 @@ def test_disprisonment_checks_every_seed_before_integrating(monkeypatch):
     with pytest.raises(ValueError, match="components"):
         disprisonment_probe(s, [good, Tangent.of([1.0, 0.3], [0.6, 0.8, 0.0])])
     assert calls == []
+
+
+def test_disprisonment_extents_match_a_per_node_reference():
+    """Extents are the largest embedding distance from the base point over
+    the nodes of each path, and over its nodes up to half the horizon.  The
+    paraboloid's embedding reads x[0], so it must see one point at a time."""
+    m = model_registry("paraboloid")
+    p, v, horizon = np.array([0.3, -0.2]), np.array([0.5, 0.4]), 6.0
+    rep = disprisonment_probe(m, [Tangent.of(p, v)], horizon=horizon)
+    row = rep["rows"][0]
+    center = embedding_point(m, p)
+    for label, vv in (("forward", v), ("backward", -v)):
+        path = integrate_geodesic(m, p, vv, IntegratorConfig(), t_max=horizon)
+        d = [float(np.linalg.norm(embedding_point(m, s[:2]) - center)) for s in path.states]
+        half = [x for t, x in zip(path.ts, d) if t <= horizon / 2.0]
+        assert row["extent_full"][label] == pytest.approx(max(d), rel=1e-12)
+        assert row["extent_half"][label] == pytest.approx(max(half), rel=1e-12)
 
 
 def test_disprisonment_finite_escape():
