@@ -10,13 +10,13 @@ corrector.  Failures are typed, never raised: a singular differential
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure, NoConvergence, OutOfChart, StepSizeUnderflow
-from .geodesic import IntegratorConfig
+from .geodesic import IntegratorConfig, exp
 from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
     dexp_matrix,
@@ -35,6 +35,8 @@ LOG_TOL = 1e-10           # residual local_log accepts
 LOG_ITERATIONS = 50       # iteration budget of local_log and the lift's last corrector
 FAR_RESIDUAL = 1e-5       # above it Newton integrates coarsely and its steps must shrink;
                           # the lift's intermediate points stop here
+CHORD_CONTRACTION = 0.5   # below FAR_RESIDUAL, a chord step that does not shrink the
+                          # residual by this factor makes Newton compute a new frame
 SV_FLOOR = 1e-6           # smallest singular value of a regular differential
 ESCAPE_FACTOR = 1e4       # lift escape bound, in target path lengths
 DIVERGENCE_START = 0.25   # first norm record at |v| >= this many target path lengths
@@ -76,59 +78,85 @@ class LiftOutcome:
 def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarray,
             fine: IntegratorConfig, coarse: IntegratorConfig, tol: float,
             max_iter: int, vcap: float, seed_step: float, sv_floor: float = 0.0):
-    """Full-step Newton on exp_p(v) = target, for local_log and the lift's corrector.
+    """Newton on exp_p(v) = target, for local_log and the lift's corrector.
 
-    Returns (flag, v, frame, residual, iterations), flag one of 'ok' (frame
-    is d(exp_p)_v on ``fine``, residual below ``tol``), 'conjugate' (frame
+    Returns (flag, v, frame, residual, iterations, frames), flag one of 'ok'
+    (residual below ``tol`` at an endpoint on ``fine``), 'conjugate' (frame
     singular or below ``sv_floor``), 'escape' (frame is the DomainEscape) or
-    'fail'.
+    'fail'; ``frames`` counts the differentials computed.  A returned
+    frame's ``matrix``, singular value and ``ray`` belong to the last
+    differential computed, its ``endpoint`` to exp_p at the returned v.
 
-    While the residual is at or above FAR_RESIDUAL, iterates are integrated
-    on ``coarse``, and a converging iteration must have shrinking corrections
-    (Deuflhard, *Newton Methods for Nonlinear Problems*, 2004).  The run
-    fails at the first correction Delta v_k that is not shorter than the step
-    before it, before v_{k+1} is integrated; the step before the first
-    correction is ``seed_step``, the one that produced the seed v.  It also
-    fails at the first simplified correction J_k^{-1} F(v_{k+1}) that is not
-    shorter than Delta v_k (the natural monotonicity test).  It fails on an
-    iterate that is not finite or exceeds ``vcap``, on a differential that
-    cannot be evaluated, and after ``max_iter`` steps.
+    While the residual is at or above FAR_RESIDUAL, each iterate computes
+    d(exp_p) on ``coarse`` and takes a full Newton step, and a converging
+    iteration must have shrinking corrections (Deuflhard, *Newton Methods
+    for Nonlinear Problems*, 2004).  The run fails at the first correction
+    Delta v_k that is not shorter than the step before it, before v_{k+1} is
+    integrated; the step before the first correction is ``seed_step``, the
+    one that produced the seed v.  It also fails at the first simplified
+    correction J_k^{-1} F(v_{k+1}) that is not shorter than Delta v_k (the
+    natural monotonicity test).
+
+    Below FAR_RESIDUAL the last differential already contracts the residual
+    by about its own relative error, so each iterate integrates only the
+    geodesic, exp_p(v) on ``fine``, and steps with the last differential's
+    matrix (the simplified Newton, or chord, iteration).  A chord step from
+    such an iterate that does not shrink the residual by CHORD_CONTRACTION
+    makes the next iterate compute d(exp_p) on ``fine`` and step with it,
+    keeping the endpoint exp gave.
+
+    The run fails on an iterate that is not finite or exceeds ``vcap``, on
+    an endpoint or differential that cannot be evaluated, and after
+    ``max_iter`` steps.
     """
     frame = None
     residual = np.inf
+    frames = 0
     # the step that produced v: J_k (None for the seed, or after a step taken
-    # from a near residual) and |Delta v_k| (inf after a near step)
-    J_prev, dv_prev = None, seed_step
+    # from a near residual) and |Delta v_k| (inf after a near step), and
+    # whether it was a chord step from a near iterate
+    J_prev, dv_prev, chord = None, seed_step, False
     for it in range(max_iter):
         if not np.linalg.norm(v) <= vcap:  # also catches inf and nan
-            return "fail", v, frame, residual, it
+            return "fail", v, frame, residual, it, frames
         far = residual >= FAR_RESIDUAL
-        ic = coarse if far else fine
         try:
-            frame = dexp_matrix(model, p, v, ic)
+            if far:
+                frame = dexp_matrix(model, p, v, coarse)
+                frames += 1
+                x = frame.endpoint
+            else:
+                x = exp(model, p, v, fine)
+                if not np.isfinite(x).all():
+                    return "fail", v, None, residual, it, frames
+            r = _wrap_delta(model, x - target)
+            last_residual, residual = residual, float(np.linalg.norm(r))
+            if residual < tol and (coarse is fine or not far):
+                return "ok", v, replace(frame, endpoint=x), residual, it, frames
+            refresh = chord and not far and not residual <= CHORD_CONTRACTION * last_residual
+            if refresh:
+                frame = dexp_matrix(model, p, v, fine)
+                frames += 1
         except DomainEscape as esc:
-            return "escape", v, esc, residual, it
+            return "escape", v, esc, residual, it, frames
         except (LinearizationFailure, StepSizeUnderflow):
-            return "fail", v, None, residual, it
-        r = _wrap_delta(model, frame.endpoint - target)
-        residual = float(np.linalg.norm(r))
-        if residual < tol and ic is fine:
-            return "ok", v, frame, residual, it
+            return "fail", v, None, residual, it, frames
         if (J_prev is not None and far and residual >= FAR_RESIDUAL
                 and np.linalg.norm(np.linalg.solve(J_prev, r)) >= dv_prev):
-            return "fail", v, frame, residual, it
+            return "fail", v, frame, residual, it, frames
         if frame.min_singular_value < sv_floor:
-            return "conjugate", v, frame, residual, it
+            return "conjugate", v, frame, residual, it, frames
         try:
             dv = np.linalg.solve(frame.matrix, r)
         except np.linalg.LinAlgError:
-            return "conjugate", v, frame, residual, it
+            return "conjugate", v, frame, residual, it, frames
         dv_norm = float(np.linalg.norm(dv))
         if residual >= FAR_RESIDUAL and not dv_norm < dv_prev:
-            return "fail", v, frame, residual, it
+            return "fail", v, frame, residual, it, frames
         J_prev, dv_prev = (frame.matrix, dv_norm) if far else (None, np.inf)
+        chord = not (far or refresh)
         v = v - dv
-    return "fail", v, frame, residual, max_iter
+    return "fail", v, frame, residual, max_iter, frames
 
 
 def _coarse(integrator: IntegratorConfig) -> IntegratorConfig:
@@ -156,21 +184,25 @@ def local_log(
     """Invert exp_p near p by full-step Newton iteration seeded at the chart difference.
 
     The iteration and its stopping rules are those of the lift's corrector.
-    While the residual is above 1e-5, iterates are integrated on a coarse
-    integrator, and the run stops at the first correction that is not
-    shorter than the step before it, before that correction's iterate is
-    integrated.  The seed's own step, from v = 0, is |q - p|, so a first
+    While the residual is at or above 1e-5, each iterate computes d(exp_p)
+    on a coarse integrator, and the run stops at the first correction that
+    is not shorter than the step before it, before that correction's iterate
+    is integrated.  The seed's own step, from v = 0, is |q - p|, so a first
     correction longer than that ends the fast path after one frame.  It also
     stops at the first simplified correction J_k^{-1} F(v_{k+1}) not shorter
     than Delta v_k (Deuflhard's natural monotonicity test), on an iterate
     above 100 * (1 + |v0|), when exp_p or its differential cannot be
-    evaluated, or after LOG_ITERATIONS iterations.
+    evaluated, or after LOG_ITERATIONS iterations.  Below 1e-5, iterates
+    integrate only the geodesic on ``cfg.integrator`` and step with the last
+    differential (chord steps); one whose step does not halve the residual
+    computes a fine differential first.  The returned v meets LOG_TOL at
+    ``exp(model, p, v, cfg.integrator)`` itself.
 
     Raises NoConvergence in each of these cases.  That means q is not
     reachable by full-step Newton from the chart-difference seed, not that
     q is unreachable from p: ``connect`` then falls back to path lifting.
     """
-    flag, v, _, residual, it = _log_newton(
+    flag, v, _, residual, it, _ = _log_newton(
         model, np.asarray(p, dtype=float), np.asarray(target, dtype=float),
         cfg or ConnectConfig())
     if flag != "ok":
@@ -187,19 +219,25 @@ def _segment_path(p: np.ndarray, q: np.ndarray) -> TargetPath:
 
 def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
           cfg: ConnectConfig) -> LiftOutcome:
-    """Track sigma through exp_p from v = 0; every refusal's witness carries
-    its cost: accepted ``lift_steps``, predictor-corrector ``attempts`` and
-    the corrector's summed ``newton_iterations``.
+    """Track sigma through exp_p from v = 0; every witness, Connected
+    included, carries its cost: accepted ``lift_steps``, predictor-corrector
+    ``attempts``, the corrector's summed ``newton_iterations`` and
+    ``dexp_calls``, every d(exp_p) computed, the identity frame at v = 0
+    included.
 
     Each target is predicted through the last accepted frame and corrected by
     ``_newton``, seeded with the predictor's step.  An intermediate point
     only has to lie in the next corrector's Newton basin, so every target
-    before sigma(ell) is corrected on the coarse integrator to FAR_RESIDUAL.
+    before sigma(ell) is corrected on the coarse integrator to FAR_RESIDUAL,
+    and its accepted frame is the coarse differential at the accepted v.
     Only the last target is corrected as ``local_log`` corrects: coarse while
-    far, then on ``cfg.integrator`` to CORRECTOR_TOL, within LOG_ITERATIONS,
-    since it starts from a coarse point (Allgower & Georg, *Introduction to
-    Numerical Continuation Methods*, 2003).  The final connect_tol check
-    reads that fine frame.
+    far, then by chord steps on ``cfg.integrator`` to CORRECTOR_TOL, within
+    LOG_ITERATIONS, since it starts from a coarse point (Allgower & Georg,
+    *Introduction to Numerical Continuation Methods*, 2003).  The final
+    connect_tol check reads that corrector's endpoint, exp_p(v) on
+    ``cfg.integrator``, without integrating again.  A singular frame, met by
+    the predictor or the corrector, ends the lift with ConjugateHit, whose
+    witness holds ``t_hit``, ``v_at_hit`` and ``min_singular_value``.
 
     Divergence is read off the accepted norms.  |v| is recorded at the first
     step with |v| >= DIVERGENCE_START * ell and again whenever it grows by
@@ -221,12 +259,16 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     frame = dexp_matrix(model, p, v, fine)  # the identity at v = 0
     attempts = 0
     newton_iterations = 0
+    dexp_calls = 1
     fails = 0
 
-    def refuse(status: str, witness: dict) -> LiftOutcome:
+    def cost(witness: dict) -> dict:
         witness.update(lift_steps=len(trace), attempts=attempts,
-                       newton_iterations=newton_iterations)
-        return LiftOutcome(status, None, trace, witness)
+                       newton_iterations=newton_iterations, dexp_calls=dexp_calls)
+        return witness
+
+    def refuse(status: str, witness: dict) -> LiftOutcome:
+        return LiftOutcome(status, None, trace, cost(witness))
 
     def escape(witness: dict) -> LiftOutcome:
         witness.update(lift_norms=[float(np.linalg.norm(row["v"])) for row in trace],
@@ -244,14 +286,15 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
             dv = np.linalg.solve(frame.matrix,
                                  -_wrap_delta(model, frame.endpoint - target))
         except np.linalg.LinAlgError:
-            return refuse("ConjugateHit",
-                          {"t_hit": t, "min_singular_value": frame.min_singular_value})
+            return refuse("ConjugateHit", {"t_hit": t, "v_at_hit": v.tolist(),
+                                           "min_singular_value": frame.min_singular_value})
         near_ic, tol, budget = ((fine, CORRECTOR_TOL, LOG_ITERATIONS) if last
                                 else (coarse, FAR_RESIDUAL, NEWTON_ITERATIONS))
-        flag, v_new, frame_new, res, it = _newton(
+        flag, v_new, frame_new, res, it, frames = _newton(
             model, p, v + dv, target, near_ic, coarse, tol, budget, vcap=2.0 * escape_bound,
             sv_floor=SV_FLOOR, seed_step=float(np.linalg.norm(dv)))
         newton_iterations += it
+        dexp_calls += frames
         if flag == "escape":
             return refuse("DomainExit", {
                 "t": frame_new.t, "termination": frame_new.termination.value})
@@ -297,29 +340,27 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     if residual > cfg.connect_tol:
         return refuse("Stalled", {"reason": "final residual above connect_tol",
                                   "residual": residual})
-    return LiftOutcome("Connected", v, trace, {})
+    return LiftOutcome("Connected", v, trace, cost({}))
 
 
 def _ray_is_regular(frame: DifferentialFrame) -> bool:
-    """Check min singular value of dexp along the straight ray to the frame's v,
-    read from the frame's own ray."""
-    prev_det = 1.0
-    for t in np.linspace(1.0 / RAY_SAMPLES, 1.0, RAY_SAMPLES):
-        J = frame.ray(t)
-        det = float(np.linalg.det(J))
-        # a determinant sign flip between samples means a singularity was
-        # crossed even if no sample landed inside the (narrow) sv dip
-        if det * prev_det < 0.0:
-            return False
-        if np.linalg.svd(J, compute_uv=False)[-1] < SV_FLOOR:
-            return False
-        prev_det = det
-    return True
+    """Check dexp along the straight ray to the frame's v, read from the
+    frame's own ray as one stack of RAY_SAMPLES matrices: a negative first
+    determinant, a sign flip between samples or a smallest singular value
+    below SV_FLOOR means the ray is not regular."""
+    Js = frame.ray(np.linspace(1.0 / RAY_SAMPLES, 1.0, RAY_SAMPLES))
+    dets = np.linalg.det(Js)
+    # a determinant sign flip between samples means a singularity was
+    # crossed even if no sample landed inside the (narrow) sv dip
+    if dets[0] < 0.0 or np.any(dets[:-1] * dets[1:] < 0.0):
+        return False
+    return not np.any(np.linalg.svd(Js, compute_uv=False)[:, -1] < SV_FLOOR)
 
 
 def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> LiftOutcome:
     """Find v with exp_p(v) = q: ``local_log`` near p, else one lift along
-    the chart segment from p to q, whose outcome is returned unchanged.
+    the chart segment from p to q, whose outcome is returned with the fast
+    path's ``newton_iterations`` and ``dexp_calls`` added to its witness.
 
     A ConjugateHit means the segment's lift reached a singular frame; it
     does not show that q is unreachable, since another target path may
@@ -337,17 +378,21 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
     # continuous preimage
     q = _wrap_near(model, q, p)
     if np.allclose(p, q, atol=cfg.connect_tol * 1e-3):
-        return LiftOutcome("Connected", np.zeros_like(p), [], {})
+        return LiftOutcome("Connected", np.zeros_like(p), [],
+                           {"newton_iterations": 0, "dexp_calls": 0})
     # fast path: q inside the normal neighborhood of p
-    flag, v, frame, residual, _ = _log_newton(model, p, q, cfg)
+    flag, v, frame, residual, it, frames = _log_newton(model, p, q, cfg)
     if flag == "ok" and _ray_is_regular(frame):
         return LiftOutcome("Connected", v, [{
             "t": float(np.linalg.norm(q - p)),
             "v": v.tolist(),
             "residual": residual,
             "min_singular_value": frame.min_singular_value,
-        }], {"method": "local_log"})
-    return _lift(model, p, q, _segment_path(p, q), cfg)
+        }], {"method": "local_log", "newton_iterations": it, "dexp_calls": frames})
+    out = _lift(model, p, q, _segment_path(p, q), cfg)
+    out.witness["newton_iterations"] += it
+    out.witness["dexp_calls"] += frames
+    return out
 
 
 def connect_report(

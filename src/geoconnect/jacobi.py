@@ -49,10 +49,21 @@ _LOCUS_CAVEAT = (
 
 @dataclass
 class DifferentialFrame:
+    """d(exp_p)_v with its smallest singular value, exp_p(v) and its ray.
+
+    ``ray(t)`` is d(exp_p)_{tv} for t in (0, 1], and ``ray(1.0)`` is
+    ``matrix``; a 1-D array of k times gives a (k, n, n) stack, one dense
+    output call for a variational frame.  ``dexp_matrix`` computes all four
+    from one integration (or one oracle stencil).  A frame returned by the
+    connector's Newton solve is different: its ``matrix``, singular value
+    and ``ray`` belong to the last frame Newton computed, which may lie at an
+    earlier iterate and come from the coarse integrator, while its
+    ``endpoint`` is exp_p(v) at the returned v.
+    """
     matrix: np.ndarray
     min_singular_value: float
-    endpoint: np.ndarray          # exp_p(v), from the same computation
-    ray: Callable[[float], np.ndarray]   # t -> d(exp_p)_{tv} on (0, 1]; ray(1.0) is matrix
+    endpoint: np.ndarray
+    ray: Callable[[float | np.ndarray], np.ndarray]
 
 
 class VariationalPath(GeodesicPath):
@@ -64,10 +75,15 @@ class VariationalPath(GeodesicPath):
         y = self.sol(t)
         return y[:n], y[n:2 * n], y[2 * n:2 * n + n * n].reshape(n, n)
 
-    def dexp_at(self, t: float) -> np.ndarray:
-        """d(exp_p)_{t v0} along the ray of the initial velocity."""
+    def dexp_at(self, t: float | np.ndarray) -> np.ndarray:
+        """d(exp_p)_{t v0} along the ray of the initial velocity: (n, n) for a
+        scalar t, a (k, n, n) stack for a 1-D array of k times in (0, t_max]."""
+        n = self.dim
+        if np.ndim(t):
+            ts = np.asarray(t, dtype=float)
+            return self.sol(ts)[2 * n:2 * n + n * n].T.reshape(-1, n, n) / ts[:, None, None]
         if t == 0.0:
-            return np.eye(self.dim)
+            return np.eye(n)
         return self.split(t)[2] / t
 
 
@@ -174,6 +190,11 @@ def _oracle_dexp(model: ManifoldModel, p: np.ndarray, w: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(J)
 
 
+def _per_sample(ray: Callable[[float], np.ndarray]) -> Callable:
+    """A scalar ray that also takes a 1-D array of times, one call per time."""
+    return lambda t: np.stack([ray(s) for s in t]) if np.ndim(t) else ray(t)
+
+
 def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray) -> DifferentialFrame:
     """Differential frame from the closed-form geodesic map."""
     p, v = p.copy(), v.copy()     # the ray outlives the caller's arrays
@@ -181,7 +202,7 @@ def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray) -> Differe
     J = _oracle_dexp(model, p, v)
     if not np.isfinite(x1).all():
         raise LinearizationFailure(1.0, float("inf"))
-    return _frame(J, x1, lambda t: _oracle_dexp(model, p, t * v))
+    return _frame(J, x1, _per_sample(lambda t: _oracle_dexp(model, p, t * v)))
 
 
 def dexp_matrix(
@@ -192,7 +213,7 @@ def dexp_matrix(
     p, v = check_tangent(model, p, v)
     n = model.dim
     if not np.any(v):
-        return DifferentialFrame(np.eye(n), 1.0, p.copy(), lambda t: np.eye(n))
+        return DifferentialFrame(np.eye(n), 1.0, p.copy(), _per_sample(lambda t: np.eye(n)))
     if cfg is not None and cfg.prefer_oracle and model.oracle is not None:
         return _oracle_frame(model, p, v)
     var = integrate_variational(model, p, v, t_max=1.0, cfg=cfg)

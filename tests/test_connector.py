@@ -12,11 +12,11 @@ from geoconnect import (
     conjugate_locus_sample, exp, local_log, model_registry, render_report,
 )
 from geoconnect.connect import (
-    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, LOG_TOL, NEWTON_ITERATIONS, SV_FLOOR,
-    _coarse, _lift, _newton, _segment_path,
+    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, LOG_TOL, NEWTON_ITERATIONS, RAY_SAMPLES,
+    SV_FLOOR, _coarse, _lift, _newton, _ray_is_regular, _segment_path,
 )
 from geoconnect.errors import OutOfChart
-from geoconnect.jacobi import _wrap_delta, dexp_matrix
+from geoconnect.jacobi import DifferentialFrame, _wrap_delta, dexp_matrix, normalize_direction
 from geoconnect.manifold import embedding_point
 
 _DS_CONNECT = ConnectConfig(integrator=IntegratorConfig(
@@ -178,6 +178,18 @@ def _assert_cost(witness: dict, trace: list):
     assert witness["lift_steps"] == len(trace)
     assert witness["attempts"] >= witness["lift_steps"]
     assert witness["newton_iterations"] >= 0
+    assert witness["dexp_calls"] >= 1      # the lift's identity frame at v = 0
+
+
+def _is_fast_path(out) -> bool:
+    """The fast path's witness: its method and its two cost keys, nothing else."""
+    return (out.witness.keys() == {"method", "newton_iterations", "dexp_calls"}
+            and out.witness["method"] == "local_log")
+
+
+def _schema() -> dict:
+    return json.loads((importlib.resources.files("geoconnect") / "schemas"
+                       / "connect_report.schema.json").read_text())
 
 
 def test_desitter_unreachable_target_escapes_before_the_path_ends():
@@ -284,9 +296,7 @@ def test_conjugate_hit_carries_its_cost(monkeypatch):
     assert "attempted_detours" not in w
     assert w["attempts"] == 3 and w["lift_steps"] == 2
     assert w["newton_iterations"] == sum(runs)
-    schema = json.loads((importlib.resources.files("geoconnect") / "schemas"
-                         / "connect_report.schema.json").read_text())
-    jsonschema.validate(connect_report(s, out, p, q), schema)
+    jsonschema.validate(connect_report(s, out, p, q), _schema())
 
 
 def test_domain_exit_status():
@@ -368,7 +378,7 @@ def _count_calls(monkeypatch, module_names, attr):
 def test_fast_path_trace_has_finite_singular_value():
     s = model_registry("sphere2")
     out = connect(s, np.array([1.2, 0.1]), np.array([1.5, 0.4]))
-    assert out.witness == {"method": "local_log"}
+    assert _is_fast_path(out)
     assert np.isfinite(out.lift_trace[0]["min_singular_value"])
     assert out.lift_trace[0]["min_singular_value"] > 0.0
 
@@ -377,20 +387,24 @@ def test_fast_path_trace_records_the_newton_residual():
     s = model_registry("sphere2")
     p, q = np.array([1.2, 0.1]), np.array([1.5, 0.4])
     out = connect(s, p, q)
-    assert out.witness == {"method": "local_log"}
+    assert _is_fast_path(out)
     residual = out.lift_trace[0]["residual"]
     # Newton's last residual, not a placeholder: the miss of exp_p(v) at the
     # returned v, which may be exactly 0 when Newton lands on q
-    frame = dexp_matrix(s, p, out.v, ConnectConfig().integrator)
-    assert residual == np.linalg.norm(_wrap_delta(s, frame.endpoint - q))
+    end = exp(s, p, out.v, ConnectConfig().integrator)
+    assert residual == np.linalg.norm(_wrap_delta(s, end - q))
     assert residual < LOG_TOL
     assert connect_report(s, out, p, q)["max_residual"] == residual
 
 
-@pytest.mark.parametrize("name, p, q", [
+# near pairs that connect on the fast path
+_FAST_PAIRS = [
     ("sphere2", [1.2, 0.1], [1.5, 0.4]),
     ("hyperbolic2", [0.2, 1.0], [0.9, 0.8]),
-])
+]
+
+
+@pytest.mark.parametrize("name, p, q", _FAST_PAIRS)
 def test_fast_path_integrates_each_ray_once(monkeypatch, name, p, q):
     """The ray check reuses the integration of the converged Newton frame."""
     model = model_registry(name)
@@ -398,9 +412,28 @@ def test_fast_path_integrates_each_ray_once(monkeypatch, name, p, q):
     integrations = _count_calls(monkeypatch, [jac], "integrate_variational")
     frames = _count_calls(monkeypatch, [jac, con], "dexp_matrix")
     out = connect(model, np.array(p), np.array(q))
-    assert out.witness == {"method": "local_log"}
+    assert _is_fast_path(out)
     assert len(frames) > 0
     assert len(integrations) == len(frames)
+
+
+@pytest.mark.parametrize("name, p, q", _FAST_PAIRS)
+def test_fast_path_integrates_no_fine_differential(monkeypatch, name, p, q):
+    """Below FAR_RESIDUAL the fast path's iterates integrate only the geodesic:
+    every variational integration it runs is on the coarse integrator."""
+    module = sys.modules["geoconnect.jacobi"]
+    real = module.integrate_variational
+    cfgs = []
+
+    def integrate(*args, **kwargs):
+        cfgs.append(kwargs["cfg"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_variational", integrate)
+    out = connect(model_registry(name), np.array(p), np.array(q))
+    assert out.connected and _is_fast_path(out)
+    assert cfgs
+    assert all(cfg == _coarse(ConnectConfig().integrator) for cfg in cfgs)
 
 
 def test_desitter_oracle_fast_path_integrates_nothing(monkeypatch):
@@ -413,53 +446,58 @@ def test_desitter_oracle_fast_path_integrates_nothing(monkeypatch):
                if name.split(".")[0] == "geoconnect" and hasattr(mod, "integrate_variational")]
     integrations = _count_calls(monkeypatch, holders, "integrate_variational")
     out = connect(d, np.array([0.2, -0.3]), np.array([0.9, 0.1]), cfg)
-    assert out.connected and out.witness == {"method": "local_log"}
+    assert out.connected and _is_fast_path(out)
     assert integrations == []
 
 
 def test_lift_checks_its_last_frame_without_a_new_dexp(monkeypatch):
-    """The final residual check after a lift reads the last accepted frame."""
+    """The final residual check after a lift reads the last accepted frame:
+    one integration, by dexp or exp, runs at the returned v."""
     s = model_registry("sphere2")
     p = np.array([1.720708, -2.007481])
     q = np.array([0.771795, -4.837131])
     frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
                           "dexp_matrix")
+    ends = _count_calls(monkeypatch, ["geoconnect.geodesic", "geoconnect.connect"], "exp")
     out = connect(s, p, q)
     assert out.connected and "method" not in out.witness
-    at_v = [args for args in frames if np.array_equal(args[2], out.v)]
+    at_v = [args for args in frames + ends if np.array_equal(args[2], out.v)]
     assert len(at_v) == 1
 
 
 def test_lift_corrects_intermediate_targets_coarsely(monkeypatch):
     """Only the last target of the lift is corrected on the fine integrator
     to CORRECTOR_TOL; every target before it stops at FAR_RESIDUAL on the
-    coarse one."""
+    coarse one, computing coarse differentials and no geodesic endpoint."""
     s = model_registry("sphere2")
     p, q = _FAR_PAIR
     fine = ConnectConfig().integrator
     frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
                           "dexp_matrix")
+    ends = _count_calls(monkeypatch, ["geoconnect.geodesic", "geoconnect.connect"], "exp")
     module = sys.modules["geoconnect.connect"]
     real = module._newton
-    runs = []   # (target, first frame, frame after the last) of each Newton run
+    runs = []   # (target, dexp calls, exp calls) of each Newton run
 
     def newton(*args, **kwargs):
-        start = len(frames)
+        f0, e0 = len(frames), len(ends)
         result = real(*args, **kwargs)
-        runs.append((args[3], start, len(frames)))
+        runs.append((args[3], frames[f0:], ends[e0:]))
         return result
 
     monkeypatch.setattr(module, "_newton", newton)
     out = connect(s, p, q)
     assert out.connected and "method" not in out.witness
-    intermediate = [frames[a:b] for target, a, b in runs
+    intermediate = [(f, e) for target, f, e in runs
                     if not np.allclose(target, q, rtol=0.0, atol=1e-12)]
     assert intermediate
     coarse_cfg = _coarse(fine)
     assert coarse_cfg != fine
-    assert all(args[3] == coarse_cfg for run in intermediate for args in run)
-    # the last accepted frame is a fine one, at the returned v
-    assert [args[3] for args in frames if np.array_equal(args[2], out.v)] == [fine]
+    assert all(args[3] == coarse_cfg for f, _ in intermediate for args in f)
+    assert all(e == [] for _, e in intermediate)
+    # the endpoint at the returned v comes from one exp on the fine integrator
+    assert [args[3] for args in ends if np.array_equal(args[2], out.v)] == [fine]
+    assert [args for args in frames if np.array_equal(args[2], out.v)] == []
     residuals = [row["residual"] for row in out.lift_trace]
     assert all(r < FAR_RESIDUAL for r in residuals[:-1])
     assert residuals[-1] < CORRECTOR_TOL
@@ -508,3 +546,109 @@ def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
                        vcap=np.inf, seed_step=np.inf, sv_floor=SV_FLOOR)
     assert flag == "fail"
     assert len(frames) <= 3
+
+
+def test_lift_refreshes_a_chord_step_that_stops_contracting():
+    """A reachable target near eta = -1 (eta = -0.99950, |v| about 97.5): on
+    the finite-difference oracle frame, the last corrector's chord steps stop
+    halving the residual, and only a new frame at that iterate lets the lift
+    connect.  A chord iteration that never computes a new frame ends Stalled
+    ("corrector step underflow", 63 lift steps)."""
+    d = model_registry("desitter", n=2)
+    p = np.array([0.0, 0.0])
+    q = np.array([-2.527698258316131, 0.655661587377085])
+    out = connect(d, p, q, _DS_CONNECT)
+    assert out.status == "Connected"
+    end = exp(d, p, out.v, _DS_CONNECT.integrator)
+    assert np.linalg.norm(_wrap_delta(d, end - q)) < _DS_CONNECT.connect_tol
+
+
+def test_predictor_conjugate_hit_reports_where_it_read_the_frame(monkeypatch):
+    """An accepted frame that is exactly singular stops the lift in the
+    predictor's solve; that ConjugateHit carries the corrector's witness
+    keys, with v_at_hit the last accepted v."""
+    module = sys.modules["geoconnect.connect"]
+    real = module.dexp_matrix
+
+    def singular(model, p, v, cfg=None):
+        frame = real(model, p, v, cfg)
+        if not np.any(v):
+            return frame
+        return DifferentialFrame(np.diag([1.0, 0.0]), 0.0, frame.endpoint, frame.ray)
+
+    monkeypatch.setattr(module, "dexp_matrix", singular)
+    e = model_registry("euclidean", n=2)
+    p, q = np.zeros(2), np.array([1.0, 2.0])
+    out = _lift(e, p, q, _segment_path(p, q), ConnectConfig())
+    assert out.status == "ConjugateHit"
+    w = out.witness
+    assert w["attempts"] == 2 and w["lift_steps"] == 1
+    assert w["t_hit"] == out.lift_trace[0]["t"]
+    assert w["v_at_hit"] == out.lift_trace[0]["v"]
+    assert w["min_singular_value"] == 0.0
+    _assert_cost(w, out.lift_trace)
+    jsonschema.validate(connect_report(e, out, p, q), _schema())
+
+
+@pytest.mark.parametrize("name, p, q, cfg, status", [
+    ("sphere2", (1.2, 0.1), (1.5, 0.4), ConnectConfig(), "Connected"),
+    ("sphere2", *_FAR_PAIR, ConnectConfig(), "Connected"),
+    ("desitter", (0.0, 0.0), (np.pi, 2.5), _DS_CONNECT, "EscapeWitness"),
+], ids=["fast_path", "lift", "refusal"])
+def test_witness_counts_every_differential(monkeypatch, name, p, q, cfg, status):
+    """dexp_calls counts every dexp_matrix call of the connect call: a failed
+    fast path's, and the lift's identity frame at v = 0, included."""
+    frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
+                          "dexp_matrix")
+    out = connect(model_registry(name), np.array(p), np.array(q), cfg)
+    assert out.status == status
+    assert out.witness["dexp_calls"] == len(frames)
+    assert out.witness["newton_iterations"] >= 0
+    jsonschema.validate(connect_report(model_registry(name), out, p, q), _schema())
+
+
+def _ray_is_regular_loop(frame) -> bool:
+    """The per-sample ray check, one scalar ray call per sample: the reference."""
+    prev_det = 1.0
+    for t in np.linspace(1.0 / RAY_SAMPLES, 1.0, RAY_SAMPLES):
+        J = frame.ray(t)
+        det = float(np.linalg.det(J))
+        if det * prev_det < 0.0:
+            return False
+        if np.linalg.svd(J, compute_uv=False)[-1] < SV_FLOOR:
+            return False
+        prev_det = det
+    return True
+
+
+def _seeded_ray_frames():
+    """(model name, frame): sphere2 rays and spacelike desitter oracle rays of
+    g-norm 0.5 to 4, some past the conjugate point at pi, and hyperbolic2 rays."""
+    rng = np.random.default_rng(61)
+    s = model_registry("sphere2")
+    p = np.array([np.pi / 2, 0.3])
+    for norm in np.linspace(0.5, 4.0, 15):
+        # within 0.5 rad of the equator, so the great circle keeps off the poles
+        a = rng.uniform(-0.5, 0.5)
+        u = normalize_direction(s, p, np.array([np.sin(a), np.cos(a)]))
+        yield "sphere2", dexp_matrix(s, p, norm * u)
+    h = model_registry("hyperbolic2")
+    for _ in range(6):
+        yield "hyperbolic2", dexp_matrix(h, np.array([0.2, 1.0]), rng.uniform(-1.5, 1.5, 2))
+    d = model_registry("desitter", n=2)
+    p = np.array([0.2, -0.3])
+    for norm in np.linspace(0.5, 4.0, 8):
+        # spacelike: its geodesic meets a conjugate point at g-length pi
+        u = normalize_direction(d, p, np.array([1.0, rng.uniform(-0.3, 0.3)]))
+        yield "desitter", dexp_matrix(d, p, norm * u, _DS_CONNECT.integrator)
+
+
+def test_stacked_ray_check_matches_the_per_sample_loop():
+    ts = np.linspace(1.0 / RAY_SAMPLES, 1.0, RAY_SAMPLES)
+    verdicts = {}
+    for name, frame in _seeded_ray_frames():
+        assert _ray_is_regular(frame) == _ray_is_regular_loop(frame)
+        verdicts.setdefault(name, set()).add(_ray_is_regular(frame))
+        assert np.allclose(frame.ray(ts), np.stack([frame.ray(t) for t in ts]),
+                           rtol=0.0, atol=1e-12)
+    assert verdicts["sphere2"] == verdicts["desitter"] == {True, False}
