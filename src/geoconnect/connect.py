@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure, NoConvergence, OutOfChart, StepSizeUnderflow
-from .geodesic import IntegratorConfig, exp
+from .geodesic import IntegratorConfig, _NormRecords, exp
 from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
     dexp_matrix,
@@ -253,7 +253,7 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     dt = ell / 16.0
     dt_min = ell * 1e-7
     trace: list[dict] = []
-    records: list[dict] = []  # (t, |v|) at each doubling of the accepted norm
+    records = _NormRecords(DIVERGENCE_START * ell, DIVERGENCE_GROWTH)  # accepted |v|
     fine = cfg.integrator
     coarse = _coarse(fine)
     frame = dexp_matrix(model, p, v, fine)  # the identity at v = 0
@@ -323,16 +323,15 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
         norm = float(np.linalg.norm(v))
         if norm > escape_bound:
             return escape({"escape_bound": escape_bound})
-        if norm >= (records[-1]["lift_norm"] * DIVERGENCE_GROWTH if records
-                    else DIVERGENCE_START * ell):
-            records.append({"t": t, "lift_norm": norm})
-            times = [r["t"] for r in records[-DIVERGENCE_GAPS - 1:]]
-            gaps = [b - a for a, b in zip(times, times[1:])]
-            if (len(gaps) == DIVERGENCE_GAPS
+        if norm >= records.level:
+            records.add(t, norm)
+            gaps = records.gaps(DIVERGENCE_GAPS)
+            if (gaps is not None
                     and all(g2 <= DIVERGENCE_GAP_RATIO * g1 for g1, g2 in zip(gaps, gaps[1:]))
                     and t + gaps[-1] < ell):
-                return escape({"norm_records": records, "blow_up_bound": t + gaps[-1],
-                               "target_path_length": ell})
+                return escape({
+                    "norm_records": [{"t": tr, "lift_norm": nr} for tr, nr in records.records],
+                    "blow_up_bound": t + gaps[-1], "target_path_length": ell})
         dt = min(dt * 1.4, ell / 8.0)
     # sigma ends at q only up to its own accuracy: check q against the
     # endpoint of the last accepted frame

@@ -45,12 +45,16 @@ class StepSizeUnderflow(GeoError):
 
 
 class DomainEscape(GeoError):
-    """Geodesic left the maximal domain before the requested parameter."""
+    """Geodesic left the maximal domain before the requested parameter.
 
-    def __init__(self, termination, t: float):
+    ``witness`` holds the growth records of a blow-up read off its growth
+    law, None otherwise."""
+
+    def __init__(self, termination, t: float, witness: dict | None = None):
         super().__init__(f"geodesic escaped domain ({termination}) at t = {t:.6g}")
         self.termination = termination
         self.t = t
+        self.witness = witness
 
 
 class LinearizationFailure(GeoError):

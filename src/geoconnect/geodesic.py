@@ -90,7 +90,8 @@ class DenseSolution:
     """Continuous solution from the per-step interpolants of an integration.
 
     ``sol(t)`` has shape ``(n_states,)`` for a scalar t and
-    ``(n_states, n_points)`` for a 1-D array of times.  At a step boundary
+    ``(n_states, n_points)`` for a 1-D array of times, ``(n_states, 0)`` for
+    an empty one.  At a step boundary
     the earlier step's interpolant is used; times outside the integrated
     range extrapolate the first or last step.  A backward integration
     (sign -1) stepped in s = -t, and its interpolants take s.
@@ -108,6 +109,8 @@ class DenseSolution:
         if s.ndim == 0:
             i = int(self._nodes.searchsorted(s, side="left")) - 1
             return self.segments[min(max(i, 0), last)](float(s))
+        if s.size == 0:
+            return np.empty((self.segments[0].y_old.size, 0))
         # one evaluation per run of points in the same step, in stepping order
         order = np.argsort(s)
         s_sorted = s[order]
@@ -186,6 +189,37 @@ class Termination(Enum):
 
 
 Monitor = Callable[[float, np.ndarray], float]   # (t, state) -> margin, zero ends a path
+# (s_old, s, state, step interpolant) -> a termination that ends the path at s, or None
+StopHook = Callable[[float, float, np.ndarray, Callable], Optional[Termination]]
+
+
+class _NormRecords:
+    """Times at which a growing norm first reaches each of a doubling sequence
+    of levels: ``start``, then ``growth`` times the last recorded norm.
+
+    ``records`` holds the (t, norm) pairs in order and ``level`` the norm the
+    next record needs.  Both the connector's lift and the variational
+    integrator's blow-up watch read a finite-parameter blow-up off the gaps
+    between record times."""
+
+    __slots__ = ("growth", "level", "records")
+
+    def __init__(self, start: float, growth: float = 2.0):
+        self.growth = growth
+        self.level = start
+        self.records: list[tuple[float, float]] = []
+
+    def add(self, t: float, norm: float) -> None:
+        self.records.append((t, norm))
+        self.level = self.growth * norm
+
+    def gaps(self, count: int) -> Optional[list[float]]:
+        """The last ``count`` gaps between record times, oldest first; None
+        while there are fewer."""
+        if len(self.records) <= count:
+            return None
+        times = [t for t, _ in self.records[-count - 1:]]
+        return [b - a for a, b in zip(times, times[1:])]
 
 
 @dataclass(frozen=True)
@@ -298,6 +332,7 @@ def _integrate(
     atol: float,
     max_steps: int,
     monitors: Sequence[tuple[Monitor, Termination]] = (),
+    stop: Optional[StopHook] = None,
 ) -> tuple[np.ndarray, np.ndarray, DenseSolution, Termination, float, int]:
     """Dormand-Prince 5(4) from t = 0 to t_end, watching the monitors.
 
@@ -309,8 +344,11 @@ def _integrate(
     StepSizeUnderflow; a non-finite y0 or t_end raises ValueError.  When a
     monitor's fn(t, y) is non-positive after a step, the path ends with its
     termination at fn's first zero on that step's interpolant (Brent); the
-    earliest zero wins, the earlier-listed monitor on a tie.  rtol is raised
-    to at least 100 machine epsilons.
+    earliest zero wins, the earlier-listed monitor on a tie.  After an
+    accepted step with no monitor zero, ``stop(s_old, s, y, segment)`` may
+    return a termination, which ends the path at that step end, s; it sees
+    the stepping variable s = |t| and the step's interpolant in s.  rtol is
+    raised to at least 100 machine epsilons.
     Overflow and invalid-operation warnings are suppressed for the whole
     integration, the monitors and their Brent root finds included.
     A negative t_end is integrated forward in s = -t, which takes the same
@@ -391,9 +429,15 @@ def _integrate(
                 ts.append(term_time)
                 ys.append(segment(term_time))
                 break
+            t_old = t
             t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
             ts.append(t)
             ys.append(y)
+            if stop is not None:
+                kind = stop(t_old, t, y, segment)
+                if kind is not None:
+                    termination, term_time = kind, t
+                    break
             if accepted >= max_steps:
                 raise StepSizeUnderflow(sign * t, "max_steps exceeded")
             if t >= t_end:

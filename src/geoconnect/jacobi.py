@@ -9,6 +9,7 @@ blow-up, so it stops at the first conjugate point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
@@ -17,7 +18,8 @@ import numpy as np
 
 from .errors import DomainEscape, LinearizationFailure
 from .geodesic import (
-    GeodesicPath, IntegratorConfig, Monitor, Termination, _integrate, chart_exit_monitors,
+    GeodesicPath, IntegratorConfig, Monitor, Termination, _brent, _integrate, _NormRecords,
+    chart_exit_monitors,
 )
 from .manifold import (
     ManifoldModel, causal_sign, central_difference, check_tangent,
@@ -29,11 +31,15 @@ __all__ = [
     "dexp_matrix", "integrate_variational", "first_conjugate_time",
     "conjugate_locus_sample", "normalize_direction", "direction_grid",
     "complement_grid", "component_of_point",
-    "SINGULAR_TOL", "VARIATIONAL_BOUND",
+    "SINGULAR_TOL", "VARIATIONAL_BOUND", "BLOW_UP_AGREEMENT",
 ]
 
 SINGULAR_TOL = 1e-9
 VARIATIONAL_BOUND = 1e12
+BLOW_UP_AGREEMENT = 1e-5    # two consecutive blow-up time estimates from the chart
+                            # position's doubling times that agree to this relative
+                            # tolerance end a variational path with BLOW_UP
+BLOW_UP_START = 8.0         # first doubling level of |x|_inf, or twice |x(0)|_inf
 CLUSTER_RADIUS = 1e-3
 DIRECTION_OFFSET = 0.5      # surface direction grid: angle offset, in grid spacings
 BOOST_RANGE = 3.0           # indefinite direction grid: largest |boost parameter|
@@ -66,9 +72,14 @@ class DifferentialFrame:
     ray: Callable[[float | np.ndarray], np.ndarray]
 
 
+@dataclass
 class VariationalPath(GeodesicPath):
     """Base geodesic plus the matrix Jacobi solution J with J(0)=0, J'(0)=I; each
-    state is (x, v, J, J') with J and J' flattened row-major."""
+    state is (x, v, J, J') with J and J' flattened row-major.  ``witness`` holds
+    the growth records of a BlowUp read off the position's growth law (see
+    ``integrate_variational``), None for any other ending."""
+
+    witness: Optional[dict] = None
 
     def split(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = self.dim
@@ -77,7 +88,8 @@ class VariationalPath(GeodesicPath):
 
     def dexp_at(self, t: float | np.ndarray) -> np.ndarray:
         """d(exp_p)_{t v0} along the ray of the initial velocity: (n, n) for a
-        scalar t, a (k, n, n) stack for a 1-D array of k times in (0, t_max]."""
+        scalar t, a (k, n, n) stack for a 1-D array of k times in (0, t_max],
+        (0, n, n) for an empty one."""
         n = self.dim
         if np.ndim(t):
             ts = np.asarray(t, dtype=float)
@@ -128,6 +140,63 @@ def _conjugate_monitor(n: int, singular_tol: float) -> Monitor:
     return monitor
 
 
+class _BlowUpWatch:
+    """Step-end stop hook that ends a variational integration with BLOW_UP once
+    the chart position's growth law fixes a finite blow-up time.
+
+    The time at which |x|_inf first reaches each level L, 2L, 4L, ... is
+    located on the step's interpolant by Brent, L = max(BLOW_UP_START,
+    2 |x(0)|_inf).  The last three record times, with gaps g1, g2 and ratio
+    r = g2 / g1, estimate the blow-up time as the geometric tail
+    T = t + g2 r / (1 - r); a ratio outside (0, 1) clears the estimates.  Two
+    consecutive estimates that agree to BLOW_UP_AGREEMENT, with T at most the
+    horizon, end the path, and ``witness`` then holds the records, r and T.
+    Times are in the integrator's stepping variable s = |t| until reported.
+    """
+
+    def __init__(self, n: int, x0: np.ndarray, t_max: float):
+        self.n = n
+        self.sign = math.copysign(1.0, t_max)
+        self.horizon = abs(t_max)
+        self.records = _NormRecords(max(BLOW_UP_START, 2.0 * float(np.abs(x0).max())))
+        self.estimate: Optional[float] = None
+        self.witness: Optional[dict] = None
+
+    def __call__(self, s_old: float, s: float, y: np.ndarray,
+                 segment: Callable) -> Optional[Termination]:
+        n = self.n
+        records = self.records
+        x_norm = lambda z: max(map(abs, z[:n].tolist()))   # cheaper than np.abs at small n
+        norm = x_norm(y)
+        lo = s_old      # |x| is below the next level here: the step start or the last crossing
+        while norm >= records.level and math.isfinite(norm):
+            level = records.level
+            # at s, |x| is read off the accepted state, which is at or above the level
+            lo = _brent(lambda u: level - (norm if u == s else x_norm(segment(u))),
+                        lo, s, xtol=1e-12, rtol=8.9e-16)
+            records.add(lo, level)
+            gaps = records.gaps(2)
+            if gaps is None:
+                continue
+            g1, g2 = gaps
+            r = g2 / g1 if g1 > 0.0 else 0.0
+            if not 0.0 < r < 1.0:
+                self.estimate = None
+                continue
+            bound = lo + g2 * r / (1.0 - r)
+            last, self.estimate = self.estimate, bound
+            if (last is not None and abs(bound - last) <= BLOW_UP_AGREEMENT * bound
+                    and bound <= self.horizon):
+                self.witness = {
+                    "norm_records": [{"t": self.sign * t, "norm": x}
+                                     for t, x in records.records],
+                    "gap_ratio": r,
+                    "blow_up_bound": self.sign * bound,
+                }
+                return Termination.BLOW_UP
+        return None
+
+
 def integrate_variational(
     model: ManifoldModel,
     p,
@@ -138,7 +207,17 @@ def integrate_variational(
     singular_tol: float | None = None,
 ) -> VariationalPath:
     """Base geodesic and Jacobi matrix J along the ray of v.  With ``singular_tol``
-    it ends with CONJUGATE_POINT where det(J(t)/t) first falls to it in (0, t_max]."""
+    it ends with CONJUGATE_POINT where det(J(t)/t) first falls to it in (0, t_max].
+
+    BlowUp has two sources.  A state passing a fixed bound ends the path at
+    the located crossing: ``cfg.blowup_norm`` for x and v, VARIATIONAL_BOUND
+    for J and J'.  The growth law of the chart position |x|_inf ends it
+    earlier, at the accepted step where the blow-up time estimated from the
+    times of its doublings settles (``_BlowUpWatch``): then ``term_time`` is
+    ``ts[-1]``, every state is an integrated one, and ``witness`` holds the
+    ``norm_records`` (t, norm) at each doubling, the last ``gap_ratio`` and
+    the ``blow_up_bound`` T.  A monitor zero inside that step still wins.
+    """
     cfg = cfg or IntegratorConfig()
     n = model.dim
     p, v = check_tangent(model, p, v)
@@ -153,9 +232,11 @@ def integrate_variational(
     monitors = [*chart_exit_monitors(model), (blow_fn, Termination.BLOW_UP)]
     if singular_tol is not None:
         monitors.append((_conjugate_monitor(n, singular_tol), Termination.CONJUGATE_POINT))
+    watch = _BlowUpWatch(n, p, t_max)
     ts, ys, sol, term, t_term, rejected = _integrate(
-        _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps, monitors)
-    return VariationalPath(model, ts, ys, term, t_term, sol, rejected)
+        _variational_rhs(model), y0, t_max, cfg.rtol, cfg.atol, cfg.max_steps, monitors,
+        watch)
+    return VariationalPath(model, ts, ys, term, t_term, sol, rejected, watch.witness)
 
 
 def _wrap_near(model: ManifoldModel, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -190,9 +271,15 @@ def _oracle_dexp(model: ManifoldModel, p: np.ndarray, w: np.ndarray) -> np.ndarr
     return np.ascontiguousarray(J)
 
 
-def _per_sample(ray: Callable[[float], np.ndarray]) -> Callable:
-    """A scalar ray that also takes a 1-D array of times, one call per time."""
-    return lambda t: np.stack([ray(s) for s in t]) if np.ndim(t) else ray(t)
+def _per_sample(ray: Callable[[float], np.ndarray], n: int) -> Callable:
+    """A scalar ray of (n, n) matrices that also takes a 1-D array of times,
+    one call per time; an empty array gives a (0, n, n) stack."""
+    def stacked(t):
+        if not np.ndim(t):
+            return ray(t)
+        return np.stack([ray(s) for s in t]) if len(t) else np.empty((0, n, n))
+
+    return stacked
 
 
 def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray) -> DifferentialFrame:
@@ -202,7 +289,7 @@ def _oracle_frame(model: ManifoldModel, p: np.ndarray, v: np.ndarray) -> Differe
     J = _oracle_dexp(model, p, v)
     if not np.isfinite(x1).all():
         raise LinearizationFailure(1.0, float("inf"))
-    return _frame(J, x1, _per_sample(lambda t: _oracle_dexp(model, p, t * v)))
+    return _frame(J, x1, _per_sample(lambda t: _oracle_dexp(model, p, t * v), model.dim))
 
 
 def dexp_matrix(
@@ -213,12 +300,12 @@ def dexp_matrix(
     p, v = check_tangent(model, p, v)
     n = model.dim
     if not np.any(v):
-        return DifferentialFrame(np.eye(n), 1.0, p.copy(), _per_sample(lambda t: np.eye(n)))
+        return DifferentialFrame(np.eye(n), 1.0, p.copy(), _per_sample(lambda t: np.eye(n), n))
     if cfg is not None and cfg.prefer_oracle and model.oracle is not None:
         return _oracle_frame(model, p, v)
     var = integrate_variational(model, p, v, t_max=1.0, cfg=cfg)
     if var.termination is not Termination.REACHED_TMAX:
-        raise DomainEscape(var.termination, var.term_time)
+        raise DomainEscape(var.termination, var.term_time, var.witness)
     x1, _, J = var.split(1.0)
     return _frame(J, x1, var.dexp_at)
 
@@ -248,7 +335,7 @@ def _first_conjugate_scan(
     if var.termination is Termination.CONJUGATE_POINT:
         return var.term_time, var
     if var.termination is not Termination.REACHED_TMAX:
-        raise DomainEscape(var.termination, var.term_time)
+        raise DomainEscape(var.termination, var.term_time, var.witness)
     return None, var
 
 
@@ -265,8 +352,14 @@ def first_conjugate_time(
     step end and stops at its first zero on that step's interpolant.  A sign
     change is always found, a dip only if it reaches a step end, so an even
     multiplicity, where det keeps its sign, can be missed.  Raises
-    DomainEscape if the ray leaves the domain before any singularity.
+    DomainEscape if the ray leaves the domain before any singularity; a
+    blow-up read off the position's growth law carries its ``witness``
+    (see ``integrate_variational``).  For t_max <= 0 the interval is empty
+    and the answer is None, without integrating.
     """
+    if t_max <= 0.0:
+        check_tangent(model, p, u)
+        return None
     return _first_conjugate_scan(model, p, u, t_max, cfg)[0]
 
 

@@ -17,7 +17,7 @@ from geoconnect import (
 )
 from geoconnect import geodesic, jacobi
 from geoconnect.errors import OutOfChart
-from geoconnect.geodesic import _brent
+from geoconnect.geodesic import _NormRecords, _brent
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -302,6 +302,18 @@ def test_dense_output_consistency():
     assert ys.shape == (4, 5)
     for j, t in enumerate(ts):
         assert np.allclose(ys[:, j], path.sol(t), rtol=1e-14, atol=1e-15)
+    assert path.sol(np.array([])).shape == (4, 0)
+
+
+def test_norm_records_double_from_the_start_level():
+    records = _NormRecords(8.0)
+    assert records.gaps(1) is None
+    for t, norm in [(0.5, 9.0), (0.8, 18.5), (0.95, 40.0)]:
+        assert norm >= records.level
+        records.add(t, norm)
+        assert records.level == 2.0 * norm
+    assert records.gaps(2) == [0.8 - 0.5, 0.95 - 0.8]
+    assert records.gaps(3) is None
 
 
 def test_negative_horizon_integrates_backward():
@@ -469,11 +481,13 @@ def test_import_pulls_in_no_scipy():
 
 # -- parity with scipy's RK45 and brentq, when scipy is installed --------------
 
-def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=()):
-    """The event-watching loop driven by scipy's RK45, as the reference."""
+def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=(), stop=None):
+    """The event-watching loop driven by scipy's RK45, as the reference.  The
+    step-end stop hook sees the stepping variable s = |t|, as ``_integrate``'s."""
     from scipy.integrate import RK45, OdeSolution
     from scipy.optimize import brentq
 
+    sign = math.copysign(1.0, t_end)
     solver = RK45(rhs, 0.0, y0, t_end, rtol=rtol, atol=atol)
     ts, ys, interpolants = [0.0], [np.asarray(y0, dtype=float)], []
     termination, term_time = Termination.REACHED_TMAX, t_end
@@ -499,6 +513,12 @@ def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=()):
             break
         ts.append(solver.t)
         ys.append(solver.y.copy())
+        if stop is not None:
+            kind = stop(sign * solver.t_old, sign * solver.t, solver.y,
+                        lambda s: dense(sign * s))
+            if kind is not None:
+                termination, term_time = kind, solver.t
+                break
     ts = np.asarray(ts)
     attempts, extra = divmod(solver.nfev - 2, 6)
     assert extra == 0
@@ -512,6 +532,7 @@ def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=()):
     ("hyperbolic2", (0.3, 1.0), (1.0, 0.4), 3.0, False, Termination.REACHED_TMAX),
     ("hyperbolic2", (0.3, 1.0), (1.0, 0.4), -3.0, False, Termination.REACHED_TMAX),
     ("desitter", (0.2, 0.3), (0.4, 1.1), 3.0, True, Termination.REACHED_TMAX),
+    ("clifton_pohl", (1.0, 0.5), (1.0, 1.0), 3.0, True, Termination.BLOW_UP),
 ])
 def test_integrator_matches_scipy_rk45(monkeypatch, name, p, v, t_max, variational,
                                        termination):
@@ -534,6 +555,10 @@ def test_integrator_matches_scipy_rk45(monkeypatch, name, p, v, t_max, variation
                                                            ref.rhs_evals)
     if not variational:
         np.testing.assert_array_equal(ours.states, ref.states)
+    else:
+        # a blow-up read off the growth law is located on the same interpolants
+        assert ours.witness == ref.witness
+        assert (ours.witness is not None) == (termination is Termination.BLOW_UP)
     samples = np.linspace(0.0, ref.term_time, 7)
     np.testing.assert_array_equal(ours.sol(samples), ref.sol(samples))
     for t in [*samples, *ref.ts]:

@@ -79,6 +79,22 @@ def test_frame_ray_ends_at_its_matrix(cfg, v):
     assert np.array_equal(frame.ray(1.0), frame.matrix)
 
 
+@pytest.mark.parametrize("cfg, v", [
+    (None, np.array([0.4, -0.7])),
+    (IntegratorConfig(prefer_oracle=True), np.array([0.4, -0.7])),
+    (None, np.zeros(2)),
+])
+def test_frame_ray_of_no_times_is_an_empty_stack(cfg, v):
+    frame = dexp_matrix(model_registry("desitter"), np.array([0.2, -0.3]), v, cfg)
+    assert frame.ray(np.array([])).shape == (0, 2, 2)
+
+
+def test_dexp_at_no_times_is_an_empty_stack():
+    var = integrate_variational(model_registry("sphere2"), np.array([1.2, 0.3]),
+                                np.array([0.4, 0.7]), t_max=1.0)
+    assert var.dexp_at(np.array([])).shape == (0, 2, 2)
+
+
 def _oracle_dexp_loop(name, p, v):
     """The oracle differential's own central-difference loop, before the stencil was shared.
     Each point comes from a freshly built model, so no base point is reused."""
@@ -208,6 +224,18 @@ def test_negative_horizon_has_no_conjugate_point():
     p = np.array([1.4, 0.7])
     u = normalize_direction(s, p, np.array([0.3, 1.0]))
     assert first_conjugate_time(s, p, u, t_max=-4.0) is None
+
+
+@pytest.mark.parametrize("t_max", [-4.0, 0.0])
+def test_empty_horizon_integrates_nothing(monkeypatch, t_max):
+    """(0, t_max] is empty: no backward ray is integrated, so none can escape."""
+    calls = []
+    integrate = jacobi.integrate_variational
+    monkeypatch.setattr(jacobi, "integrate_variational",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    s = model_registry("sphere2")
+    assert first_conjugate_time(s, (1.2, 0.3), (1.0, 0.0), t_max) is None
+    assert calls == []
 
 
 def test_conjugate_point_inside_the_first_step():
@@ -386,3 +414,91 @@ def test_variational_termination_mirrors_base_path():
     # either typed termination is acceptable -- but the located time is 0.5
     assert var.termination in (Termination.CHART_EXIT, Termination.BLOW_UP)
     assert var.term_time == pytest.approx(0.5, abs=1e-5)
+
+
+SCAN_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10)
+
+
+def test_axis_blow_up_bound_is_the_closed_form():
+    """On the Clifton-Pohl axis u(t) = u0 / (1 - a t / u0) blows up at T = u0 / a;
+    the path ends at an accepted step before T, with T read off the doublings of u."""
+    cp = model_registry("clifton_pohl")
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        u0, a = rng.uniform(0.5, 2.0, 2)
+        var = integrate_variational(cp, np.array([u0, 0.0]), np.array([a, 0.0]),
+                                    t_max=2.0 * u0 / a)
+        assert var.termination is Termination.BLOW_UP
+        assert var.term_time == var.ts[-1] < u0 / a
+        w = var.witness
+        assert w["blow_up_bound"] == pytest.approx(u0 / a, rel=1e-5)
+        assert 0.0 < w["gap_ratio"] < 1.0
+        levels = [r["norm"] for r in w["norm_records"]]
+        assert levels == [8.0 * 2.0 ** k for k in range(len(levels))]
+        times = [r["t"] for r in w["norm_records"]]
+        assert times == sorted(times) and times[-1] <= var.term_time
+        for r in w["norm_records"]:
+            assert var.point(r["t"])[0] == pytest.approx(r["norm"], rel=1e-9)
+
+
+def test_clifton_pohl_scan_ends_at_its_settled_blow_up_time():
+    cp = model_registry("clifton_pohl")
+    var = integrate_variational(cp, np.array([1.0, 0.5]), np.array([1.0, 1.0]), t_max=3.0,
+                                cfg=SCAN_CFG, singular_tol=SINGULAR_TOL)
+    assert var.termination is Termination.BLOW_UP
+    assert var.steps <= 240     # 309 when J had to reach VARIATIONAL_BOUND
+    assert var.term_time == var.ts[-1] < var.witness["blow_up_bound"] <= 3.0
+    # every state is an integrated one, none a located crossing
+    assert np.abs(var.states[-1]).max() < jacobi.VARIATIONAL_BOUND
+    with pytest.raises(DomainEscape) as exc:
+        first_conjugate_time(cp, (1.0, 0.5), (1.0, 1.0), 3.0, SCAN_CFG)
+    assert exc.value.t == var.term_time
+    assert exc.value.witness == var.witness
+
+
+def test_survey_clifton_pohl_escapes_lie_in_range():
+    """Seeded rays as the survey draws them: every escape lies in (0, t_max], and
+    every witnessed bound lies after the escape and within the horizon."""
+    cp = model_registry("clifton_pohl")
+    rng = np.random.default_rng(5)
+    witnessed = 0
+    for _ in range(12):
+        r, a, b, c = rng.uniform([0.5, 0.0, 0.0, 0.5], [2.0, 2 * np.pi, 2 * np.pi, 1.5])
+        p = (r * np.cos(a), r * np.sin(a))
+        u = (c * np.cos(b), c * np.sin(b))
+        try:
+            t_star = first_conjugate_time(cp, p, u, 5.0, SCAN_CFG)
+        except DomainEscape as esc:
+            assert 0.0 < esc.t <= 5.0
+            if esc.witness is not None:
+                witnessed += 1
+                assert esc.termination is Termination.BLOW_UP
+                assert esc.t < esc.witness["blow_up_bound"] <= 5.0
+        else:
+            assert t_star is None or 0.0 < t_star <= 5.0
+    assert witnessed > 0
+
+
+@pytest.mark.parametrize("closest", [1e-3, 1e-4, 1e-5, 2e-6])
+@pytest.mark.parametrize("cfg", [None, SCAN_CFG])
+def test_great_circle_grazing_the_pole_is_not_a_blow_up(closest, cfg):
+    """J and J' spike to about closest^-2 as the circle passes the polar chart's
+    pole, with doubling gaps that shrink, but the chart position stays bounded."""
+    s = model_registry("sphere2")
+    v = np.array([-np.cos(closest), np.sin(closest)])
+    var = integrate_variational(s, np.array([np.pi / 2, 0.0]), v, t_max=3.0, cfg=cfg)
+    assert var.termination is Termination.REACHED_TMAX
+    assert var.witness is None
+    assert np.abs(var.states[:, 4:]).max() > 0.5 / closest ** 2
+
+
+def test_pole_at_one_millionth_meets_the_fixed_variational_bound():
+    """At a closest approach of 1e-6, J' reaches VARIATIONAL_BOUND at the pole:
+    the fixed bound ends the path, with no growth witness."""
+    s = model_registry("sphere2")
+    v = np.array([-np.cos(1e-6), np.sin(1e-6)])
+    var = integrate_variational(s, np.array([np.pi / 2, 0.0]), v, t_max=3.0)
+    assert var.termination is Termination.BLOW_UP
+    assert var.witness is None
+    assert var.term_time == pytest.approx(np.pi / 2, abs=1e-5)
+    assert np.abs(var.states[-1, 4:]).max() == pytest.approx(jacobi.VARIATIONAL_BOUND)
