@@ -38,9 +38,7 @@ FAR_RESIDUAL = 1e-5       # above it Newton integrates coarsely and its steps mu
 CHORD_CONTRACTION = 0.5   # below FAR_RESIDUAL, a chord step that does not shrink the
                           # residual by this factor makes Newton compute a new frame
 SV_FLOOR = 1e-6           # smallest singular value of a regular differential
-ESCAPE_FACTOR = 1e4       # lift escape bound, in target path lengths
 DIVERGENCE_START = 0.25   # first norm record at |v| >= this many target path lengths
-DIVERGENCE_GROWTH = 2.0   # each later record at least this many times the last
 DIVERGENCE_GAP_RATIO = 0.5  # each gap between records at most this share of the one before
 DIVERGENCE_GAPS = 3       # shrinking gaps that witness a blow-up
 MAX_LIFT_STEPS = 400
@@ -77,12 +75,12 @@ class LiftOutcome:
 
 def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarray,
             fine: IntegratorConfig, coarse: IntegratorConfig, tol: float,
-            max_iter: int, vcap: float, seed_step: float, sv_floor: float = 0.0):
+            max_iter: int, seed_step: float):
     """Newton on exp_p(v) = target, for local_log and the lift's corrector.
 
     Returns (flag, v, frame, residual, iterations, frames), flag one of 'ok'
     (residual below ``tol`` at an endpoint on ``fine``), 'conjugate' (frame
-    singular or below ``sv_floor``), 'escape' (frame is the DomainEscape) or
+    singular or below SV_FLOOR), 'escape' (frame is the DomainEscape) or
     'fail'; ``frames`` counts the differentials computed.  A returned
     frame's ``matrix``, singular value and ``ray`` belong to the last
     differential computed, its ``endpoint`` to exp_p at the returned v.
@@ -93,9 +91,7 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
     for Nonlinear Problems*, 2004).  The run fails at the first correction
     Delta v_k that is not shorter than the step before it, before v_{k+1} is
     integrated; the step before the first correction is ``seed_step``, the
-    one that produced the seed v.  It also fails at the first simplified
-    correction J_k^{-1} F(v_{k+1}) that is not shorter than Delta v_k (the
-    natural monotonicity test).
+    one that produced the seed v.
 
     Below FAR_RESIDUAL the last differential already contracts the residual
     by about its own relative error, so each iterate integrates only the
@@ -105,19 +101,17 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
     makes the next iterate compute d(exp_p) on ``fine`` and step with it,
     keeping the endpoint exp gave.
 
-    The run fails on an iterate that is not finite or exceeds ``vcap``, on
-    an endpoint or differential that cannot be evaluated, and after
-    ``max_iter`` steps.
+    The run fails on an iterate that is not finite, on an endpoint or
+    differential that cannot be evaluated, and after ``max_iter`` steps.
     """
     frame = None
     residual = np.inf
     frames = 0
-    # the step that produced v: J_k (None for the seed, or after a step taken
-    # from a near residual) and |Delta v_k| (inf after a near step), and
-    # whether it was a chord step from a near iterate
-    J_prev, dv_prev, chord = None, seed_step, False
+    # the step that produced v: |Delta v_k| (inf after a step taken from a
+    # near residual), and whether it was a chord step from a near iterate
+    dv_prev, chord = seed_step, False
     for it in range(max_iter):
-        if not np.linalg.norm(v) <= vcap:  # also catches inf and nan
+        if not np.isfinite(v).all():
             return "fail", v, frame, residual, it, frames
         far = residual >= FAR_RESIDUAL
         try:
@@ -141,10 +135,7 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
             return "escape", v, esc, residual, it, frames
         except (LinearizationFailure, StepSizeUnderflow):
             return "fail", v, None, residual, it, frames
-        if (J_prev is not None and far and residual >= FAR_RESIDUAL
-                and np.linalg.norm(np.linalg.solve(J_prev, r)) >= dv_prev):
-            return "fail", v, frame, residual, it, frames
-        if frame.min_singular_value < sv_floor:
+        if frame.min_singular_value < SV_FLOOR:
             return "conjugate", v, frame, residual, it, frames
         try:
             dv = np.linalg.solve(frame.matrix, r)
@@ -153,7 +144,7 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
         dv_norm = float(np.linalg.norm(dv))
         if residual >= FAR_RESIDUAL and not dv_norm < dv_prev:
             return "fail", v, frame, residual, it, frames
-        J_prev, dv_prev = (frame.matrix, dv_norm) if far else (None, np.inf)
+        dv_prev = dv_norm if far else np.inf
         chord = not (far or refresh)
         v = v - dv
     return "fail", v, frame, residual, max_iter, frames
@@ -172,7 +163,7 @@ def _log_newton(model: ManifoldModel, p: np.ndarray, target: np.ndarray,
     v = target - p
     v0 = float(np.linalg.norm(v))   # the chart-difference seed's step from v = 0
     return _newton(model, p, v, target, cfg.integrator, _coarse(cfg.integrator), LOG_TOL,
-                   LOG_ITERATIONS, vcap=100.0 * (1.0 + v0), seed_step=v0)
+                   LOG_ITERATIONS, seed_step=v0)
 
 
 def local_log(
@@ -189,13 +180,12 @@ def local_log(
     is not shorter than the step before it, before that correction's iterate
     is integrated.  The seed's own step, from v = 0, is |q - p|, so a first
     correction longer than that ends the fast path after one frame.  It also
-    stops at the first simplified correction J_k^{-1} F(v_{k+1}) not shorter
-    than Delta v_k (Deuflhard's natural monotonicity test), on an iterate
-    above 100 * (1 + |v0|), when exp_p or its differential cannot be
-    evaluated, or after LOG_ITERATIONS iterations.  Below 1e-5, iterates
-    integrate only the geodesic on ``cfg.integrator`` and step with the last
-    differential (chord steps); one whose step does not halve the residual
-    computes a fine differential first.  The returned v meets LOG_TOL at
+    stops on a differential whose smallest singular value is below
+    SV_FLOOR, on an iterate that is not finite, when exp_p or its
+    differential cannot be evaluated, or after LOG_ITERATIONS iterations.
+    Below 1e-5, iterates integrate only the geodesic on ``cfg.integrator``
+    and step with the last differential (chord steps); one whose step does
+    not halve the residual computes a fine differential first.  The returned v meets LOG_TOL at
     ``exp(model, p, v, cfg.integrator)`` itself.
 
     Raises NoConvergence in each of these cases.  That means q is not
@@ -237,30 +227,30 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     connect_tol check reads that corrector's endpoint, exp_p(v) on
     ``cfg.integrator``, without integrating again.  A singular frame, met by
     the predictor or the corrector, ends the lift with ConjugateHit, whose
-    witness holds ``t_hit``, ``v_at_hit`` and ``min_singular_value``.
+    witness holds ``t_hit``, ``v_at_hit`` and ``min_singular_value``.  A
+    corrector that fails halves the step; once the step is below 1e-7 * ell
+    the lift ends Stalled.
 
     Divergence is read off the accepted norms.  |v| is recorded at the first
-    step with |v| >= DIVERGENCE_START * ell and again whenever it grows by
-    DIVERGENCE_GROWTH over the last record.  When the last DIVERGENCE_GAPS
-    gaps between record times each shrink by DIVERGENCE_GAP_RATIO, the later
-    gaps sum to at most the last one, g, so the norm blows up by t + g; if
-    that is before sigma ends, the lift refuses with EscapeWitness.
+    step with |v| >= DIVERGENCE_START * ell and again whenever it doubles
+    the last record.  When the last DIVERGENCE_GAPS gaps between record
+    times each shrink by DIVERGENCE_GAP_RATIO, the later gaps sum to at most
+    the last one, g, so the norm blows up by t + g; if that is before sigma
+    ends, the lift refuses with EscapeWitness.
     """
     ell = sigma.length
-    escape_bound = ESCAPE_FACTOR * ell
     t = 0.0
     v = np.zeros_like(p)
     dt = ell / 16.0
     dt_min = ell * 1e-7
     trace: list[dict] = []
-    records = _NormRecords(DIVERGENCE_START * ell, DIVERGENCE_GROWTH)  # accepted |v|
+    records = _NormRecords(DIVERGENCE_START * ell)  # accepted |v|
     fine = cfg.integrator
     coarse = _coarse(fine)
     frame = dexp_matrix(model, p, v, fine)  # the identity at v = 0
     attempts = 0
     newton_iterations = 0
     dexp_calls = 1
-    fails = 0
 
     def cost(witness: dict) -> dict:
         witness.update(lift_steps=len(trace), attempts=attempts,
@@ -269,11 +259,6 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
 
     def refuse(status: str, witness: dict) -> LiftOutcome:
         return LiftOutcome(status, None, trace, cost(witness))
-
-    def escape(witness: dict) -> LiftOutcome:
-        witness.update(lift_norms=[float(np.linalg.norm(row["v"])) for row in trace],
-                       residuals=[row["residual"] for row in trace])
-        return refuse("EscapeWitness", witness)
 
     while t < ell:
         if attempts >= MAX_LIFT_STEPS:
@@ -291,8 +276,8 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
         near_ic, tol, budget = ((fine, CORRECTOR_TOL, LOG_ITERATIONS) if last
                                 else (coarse, FAR_RESIDUAL, NEWTON_ITERATIONS))
         flag, v_new, frame_new, res, it, frames = _newton(
-            model, p, v + dv, target, near_ic, coarse, tol, budget, vcap=2.0 * escape_bound,
-            sv_floor=SV_FLOOR, seed_step=float(np.linalg.norm(dv)))
+            model, p, v + dv, target, near_ic, coarse, tol, budget,
+            seed_step=float(np.linalg.norm(dv)))
         newton_iterations += it
         dexp_calls += frames
         if flag == "escape":
@@ -306,11 +291,9 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
             })
         if flag == "fail":
             dt *= 0.5
-            fails += 1
-            if dt < dt_min or fails > 12:
+            if dt < dt_min:
                 return refuse("Stalled", {"reason": "corrector step underflow", "t": t})
             continue
-        fails = 0
         t += dt
         v = v_new
         frame = frame_new
@@ -321,17 +304,17 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
             "min_singular_value": frame.min_singular_value,
         })
         norm = float(np.linalg.norm(v))
-        if norm > escape_bound:
-            return escape({"escape_bound": escape_bound})
         if norm >= records.level:
             records.add(t, norm)
             gaps = records.gaps(DIVERGENCE_GAPS)
             if (gaps is not None
                     and all(g2 <= DIVERGENCE_GAP_RATIO * g1 for g1, g2 in zip(gaps, gaps[1:]))
                     and t + gaps[-1] < ell):
-                return escape({
+                return refuse("EscapeWitness", {
                     "norm_records": [{"t": tr, "lift_norm": nr} for tr, nr in records.records],
-                    "blow_up_bound": t + gaps[-1], "target_path_length": ell})
+                    "blow_up_bound": t + gaps[-1], "target_path_length": ell,
+                    "lift_norms": [float(np.linalg.norm(row["v"])) for row in trace],
+                    "residuals": [row["residual"] for row in trace]})
         dt = min(dt * 1.4, ell / 8.0)
     # sigma ends at q only up to its own accuracy: check q against the
     # endpoint of the last accepted frame

@@ -195,23 +195,22 @@ StopHook = Callable[[float, float, np.ndarray, Callable], Optional[Termination]]
 
 class _NormRecords:
     """Times at which a growing norm first reaches each of a doubling sequence
-    of levels: ``start``, then ``growth`` times the last recorded norm.
+    of levels: ``start``, then twice the last recorded norm.
 
     ``records`` holds the (t, norm) pairs in order and ``level`` the norm the
     next record needs.  Both the connector's lift and the variational
     integrator's blow-up watch read a finite-parameter blow-up off the gaps
     between record times."""
 
-    __slots__ = ("growth", "level", "records")
+    __slots__ = ("level", "records")
 
-    def __init__(self, start: float, growth: float = 2.0):
-        self.growth = growth
+    def __init__(self, start: float):
         self.level = start
         self.records: list[tuple[float, float]] = []
 
     def add(self, t: float, norm: float) -> None:
         self.records.append((t, norm))
-        self.level = self.growth * norm
+        self.level = 2.0 * norm
 
     def gaps(self, count: int) -> Optional[list[float]]:
         """The last ``count`` gaps between record times, oldest first; None

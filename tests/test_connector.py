@@ -109,11 +109,32 @@ def test_local_log_inverts_exp():
 
 
 def test_local_log_raises_no_convergence():
+    """The first correction from the chart-difference seed is longer than the
+    seed's own step, so the fast path gives up after one iteration; the lift
+    still connects the pair."""
     s = model_registry("sphere2")
     p = np.array([0.3, 0.0])
-    # target that forces the Newton iterates through the chart edge
+    q = np.array([0.5, 3.0])
     with pytest.raises(NoConvergence):
-        local_log(s, p, np.array([0.05, 3.0]))
+        local_log(s, p, q)
+    assert connect(s, p, q).connected
+
+
+def test_local_log_converges_where_its_corrections_shrink():
+    """Across the pole, full Newton steps from the chart difference shrink
+    at every iterate: the fast path connects the pair, to the v the lift
+    along the chart segment finds."""
+    s = model_registry("sphere2")
+    p = np.array([0.3, 0.0])
+    q = np.array([0.05, 3.0])
+    out = connect(s, p, q)
+    assert out.connected and out.witness["method"] == "local_log"
+    assert np.array_equal(local_log(s, p, q), out.v)
+    lifted = _lift(s, p, q, _segment_path(p, q), ConnectConfig())
+    assert lifted.connected
+    assert np.linalg.norm(out.v - lifted.v) < 1e-12
+    end = exp(s, p, out.v, ConnectConfig().integrator)
+    assert np.linalg.norm(_wrap_delta(s, end - q)) < LOG_TOL
 
 
 # a far sphere pair whose second Newton correction expands: the fast path
@@ -277,7 +298,7 @@ def test_conjugate_hit_carries_its_cost(monkeypatch):
 
     def newton(*args, **kwargs):
         result = real(*args, **kwargs)
-        if not kwargs.get("sv_floor"):      # local_log's solve, not the lift's corrector
+        if args[6] == LOG_TOL:              # local_log's solve, not the lift's corrector
             return result
         runs.append(result[4])
         if len(runs) % 3 == 0:
@@ -533,8 +554,9 @@ def test_lift_gives_its_last_target_the_local_log_budget():
 
 def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
     """With the corrector's settings (fine integrator only, its iteration
-    budget) and no seed step to compare the first correction with, the
-    shared Newton routine gives up on the expanding pair of
+    budget) and ``seed_step`` inf, the first correction is always taken and
+    the length test acts from the second on: the shared Newton routine
+    gives up on the expanding pair of
     ``test_local_log_stops_at_first_non_contracting_step`` within 3 frames."""
     s = model_registry("sphere2")
     p = np.array([1.720708, -2.007481])
@@ -543,7 +565,7 @@ def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
     frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
                           "dexp_matrix")
     flag, *_ = _newton(s, p, q - p, q, fine, fine, CORRECTOR_TOL, NEWTON_ITERATIONS,
-                       vcap=np.inf, seed_step=np.inf, sv_floor=SV_FLOOR)
+                       seed_step=np.inf)
     assert flag == "fail"
     assert len(frames) <= 3
 

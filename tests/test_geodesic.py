@@ -11,9 +11,9 @@ import pytest
 
 import geoconnect
 from geoconnect import (
-    DomainEscape, IntegratorConfig, NoOracle, StepSizeUnderflow, Termination,
+    DomainEscape, IntegratorConfig, NoOracle, StepSizeUnderflow, Termination, causal_class,
     energy, energy_drift, exp, integrate_geodesic, integrate_variational,
-    model_registry, oracle_geodesic, oracle_geodesic_embedding,
+    model_registry, oracle_geodesic, oracle_geodesic_embedding, orthonormal_frame,
 )
 from geoconnect import geodesic, jacobi
 from geoconnect.errors import OutOfChart
@@ -232,6 +232,38 @@ def test_numeric_exp_matches_oracle_on_sphere(n):
         X = oracle_geodesic_embedding(model, p, v, 1.0)
         assert np.allclose(model.embedding(x), X, atol=1e-8)
         assert np.allclose(model.embedding(oracle_geodesic(model, p, v, 1.0)), X, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,p", [(2, (0.3, -0.2)), (3, (1.2, 0.3, 0.1))])
+def test_desitter_oracle_null_geodesics_match_the_integrator(n, p):
+    """Null directions (e_s +- e_t)/sqrt(2) take the quadric oracle's affine
+    branch P + t U; the integrator and exp agree with it."""
+    d = model_registry("desitter", n=n)
+    p = np.array(p)
+    E, _ = orthonormal_frame(d, p)
+    for e_s in E[:, :-1].T:
+        for v in ((e_s + E[:, -1]) / math.sqrt(2.0), (e_s - E[:, -1]) / math.sqrt(2.0)):
+            assert causal_class(d, p, v) == "null"
+            for t in (0.5, 1.0, 2.0):
+                numeric = integrate_geodesic(d, p, v, t_max=t).endpoint
+                assert np.allclose(oracle_geodesic(d, p, v, t), numeric, rtol=0.0, atol=1e-9)
+            assert np.allclose(exp(d, p, v, IntegratorConfig(prefer_oracle=True)), exp(d, p, v),
+                               rtol=0.0, atol=1e-9)
+
+
+def test_non_finite_christoffel_symbols_raise_step_size_underflow():
+    """Symbols that turn NaN past x1 = 0.5 shrink every trial step from there
+    until it is below 10 ulp: a typed StepSizeUnderflow at t = 0.5, with no
+    RuntimeWarning."""
+    nan = np.full((2, 2, 2), np.nan)
+    zeros = np.zeros((2, 2, 2))
+    e = dataclasses.replace(model_registry("euclidean", n=2),
+                            christoffel=lambda x: nan if x[0] > 0.5 else zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeUnderflow) as info:
+            integrate_geodesic(e, np.zeros(2), np.array([1.0, 0.0]), t_max=2.0)
+    assert info.value.t == pytest.approx(0.5, abs=1e-9)
 
 
 def test_oracle_embedding_stays_on_surface():

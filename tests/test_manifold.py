@@ -116,6 +116,21 @@ def test_analytic_christoffel_derivs_match_fd(name):
         assert np.allclose(analytic, fd, atol=1e-5), (name, x)
 
 
+def test_christoffel_deriv_of_a_gamma_only_model_is_a_central_difference():
+    """Without an analytic dGamma, christoffel_deriv_raw differences the
+    analytic Gamma; dexp built on it matches the analytic one."""
+    h = model_registry("hyperbolic2")
+    bare = dataclasses.replace(h, christoffel_deriv=None)
+    for x in ([0.2, 1.0], [-0.7, 0.5], [1.3, 2.0], [0.0, 0.3]):
+        x = np.array(x)
+        analytic = christoffel_deriv_raw(h, x)
+        error = np.abs(christoffel_deriv_raw(bare, x) - analytic).max()
+        assert error <= 1e-9 * np.abs(analytic).max()
+    p, v = np.array([0.2, 1.0]), np.array([0.7, -0.4])
+    assert np.allclose(dexp_matrix(bare, p, v).matrix, dexp_matrix(h, p, v).matrix,
+                       rtol=0.0, atol=1e-10)
+
+
 def test_causal_class_minkowski():
     m = model_registry("minkowski", n=2)
     x = np.zeros(2)
