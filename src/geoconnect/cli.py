@@ -255,9 +255,6 @@ def cmd_probe(args) -> int:
                                     horizon=args.tmax, seed=args.seed,
                                     cfg=_integrator(args))
         ok = out["verdict"] != "Unbounded"
-    elif kind == "convex":
-        out = _run_convex(model, args)
-        ok = out["verdict"] == "pass"
     elif kind == "gauss":
         if not model.is_riemannian:
             raise argparse.ArgumentTypeError(
@@ -272,9 +269,8 @@ def cmd_probe(args) -> int:
     return EXIT_OK if ok else EXIT_GEOMETRIC
 
 
-def _run_convex(model: ManifoldModel, args) -> dict:
-    if not args.f:
-        raise ConfigError("convex check needs --f EXPR")
+def cmd_convex_check(args) -> int:
+    model = _resolve_model(args)
     f = ScalarField(dsl.compile_expr(dsl.parse(args.f, model.dim)), name=args.f)
     rng = np.random.default_rng(args.seed)
     lo = model.domain.lower
@@ -288,12 +284,7 @@ def _run_convex(model: ManifoldModel, args) -> dict:
             continue
         v = rng.standard_normal(model.dim)
         samples.append(Tangent.of(p, v))
-    return convex_check(model, f, samples, cfg=_integrator(args))
-
-
-def cmd_convex_check(args) -> int:
-    model = _resolve_model(args)
-    out = _run_convex(model, args)
+    out = convex_check(model, f, samples, cfg=_integrator(args))
     print(json.dumps(out, indent=2, cls=_JsonEncoder))
     return EXIT_OK if out["verdict"] == "pass" else EXIT_GEOMETRIC
 
@@ -339,15 +330,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="empirical geometry probes (JSON output)")
     _add_model_args(p)
     p.add_argument("--kind", required=True,
-                   choices=["weakproper", "disprison", "pseudoconvex",
-                            "convex", "gauss"])
+                   choices=["weakproper", "disprison", "pseudoconvex", "gauss"])
     p.add_argument("--point", type=_vector, default=None)
     p.add_argument("--family",
                    choices=["radial", "spiral", "hyperboloid", "polyline"])
     p.add_argument("--gnorm", type=_positive, default=float(np.pi))
     p.add_argument("--waypoints", help="semicolon-separated tangent waypoints")
     p.add_argument("--box", help="K as 'lo1,lo2,..;hi1,hi2,..'")
-    p.add_argument("--f", help="scalar field expression in x1..xn")
     p.add_argument("--count", type=int, default=32)
     p.add_argument("--tmax", type=_finite, default=10.0)
     p.set_defaults(fn=cmd_probe)
@@ -364,10 +353,9 @@ def build_parser() -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "point", "sentinel") is None and args.command in ("probe",):
-        if args.kind in ("weakproper", "gauss", "disprison"):
-            parser.error(f"--point is required for --kind {args.kind}")
-        args.point = None
+    if (args.command == "probe" and args.point is None
+            and args.kind in ("weakproper", "gauss", "disprison")):
+        parser.error(f"--point is required for --kind {args.kind}")
     try:
         _check_counts(args)
         return args.fn(args)

@@ -11,7 +11,7 @@ corrector.  Failures are typed, never raised: a singular differential
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,15 +24,15 @@ from .jacobi import (
 from .manifold import ManifoldModel, _check_chart, causal_class
 
 __all__ = [
-    "ConnectConfig", "TargetPath", "LiftOutcome",
+    "ConnectConfig", "LiftOutcome",
     "local_log", "connect", "connect_report", "render_report",
 ]
 
 
-CORRECTOR_TOL = 1e-9      # residual the lift's last corrector accepts
+CORRECTOR_TOL = 1e-9      # residual the final corrector (local_log, the lift's last
+                          # target) accepts
 NEWTON_ITERATIONS = 8     # iteration budget of an intermediate lift corrector
-LOG_TOL = 1e-10           # residual local_log accepts
-LOG_ITERATIONS = 50       # iteration budget of local_log and the lift's last corrector
+LOG_ITERATIONS = 50       # iteration budget of the final corrector
 FAR_RESIDUAL = 1e-5       # above it Newton integrates coarsely and its steps must shrink;
                           # the lift's intermediate points stop here
 CHORD_CONTRACTION = 0.5   # below FAR_RESIDUAL, a chord step that does not shrink the
@@ -56,12 +56,6 @@ class ConnectConfig:
 
 
 @dataclass
-class TargetPath:
-    point: Callable[[float], np.ndarray]
-    length: float
-
-
-@dataclass
 class LiftOutcome:
     status: str  # Connected | ConjugateHit | EscapeWitness | DomainExit | Stalled
     v: Optional[np.ndarray]
@@ -73,37 +67,51 @@ class LiftOutcome:
         return self.status == "Connected"
 
 
+def _coarse(integrator: IntegratorConfig) -> IntegratorConfig:
+    """The integrator Newton steers with while it is far from the root; an
+    oracle config keeps its oracle frames."""
+    return integrator.with_(rtol=max(integrator.rtol, 1e-6),
+                            atol=max(integrator.atol, 1e-8))
+
+
 def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarray,
-            fine: IntegratorConfig, coarse: IntegratorConfig, tol: float,
-            max_iter: int, seed_step: float):
-    """Newton on exp_p(v) = target, for local_log and the lift's corrector.
+            integrator: IntegratorConfig, seed_step: float, final: bool = True):
+    """Newton on exp_p(v) = target, the connector's one corrector.
+
+    It has two roles.  The final corrector (``local_log`` and the lift's
+    last target) accepts a residual below CORRECTOR_TOL at an endpoint
+    integrated on ``integrator``, within LOG_ITERATIONS steps.  The
+    intermediate corrector (the lift's other targets, ``final=False``)
+    accepts the first residual below FAR_RESIDUAL, within NEWTON_ITERATIONS.
 
     Returns (flag, v, frame, residual, iterations, frames), flag one of 'ok'
-    (residual below ``tol`` at an endpoint on ``fine``), 'conjugate' (frame
-    singular or below SV_FLOOR), 'escape' (frame is the DomainEscape) or
-    'fail'; ``frames`` counts the differentials computed.  A returned
-    frame's ``matrix``, singular value and ``ray`` belong to the last
-    differential computed, its ``endpoint`` to exp_p at the returned v.
+    (residual accepted), 'conjugate' (frame singular or below SV_FLOOR),
+    'escape' (frame is the DomainEscape) or 'fail'; ``frames`` counts the
+    differentials computed.  A returned frame's ``matrix``, singular value
+    and ``ray`` belong to the last differential computed, its ``endpoint``
+    to exp_p at the returned v.
 
     While the residual is at or above FAR_RESIDUAL, each iterate computes
-    d(exp_p) on ``coarse`` and takes a full Newton step, and a converging
-    iteration must have shrinking corrections (Deuflhard, *Newton Methods
-    for Nonlinear Problems*, 2004).  The run fails at the first correction
-    Delta v_k that is not shorter than the step before it, before v_{k+1} is
-    integrated; the step before the first correction is ``seed_step``, the
-    one that produced the seed v.
+    d(exp_p) on ``_coarse(integrator)`` and takes a full Newton step, and a
+    converging iteration must have shrinking corrections (Deuflhard, *Newton
+    Methods for Nonlinear Problems*, 2004).  The run fails at the first
+    correction Delta v_k that is not shorter than the step before it, before
+    v_{k+1} is integrated; the step before the first correction is
+    ``seed_step``, the one that produced the seed v.
 
     Below FAR_RESIDUAL the last differential already contracts the residual
-    by about its own relative error, so each iterate integrates only the
-    geodesic, exp_p(v) on ``fine``, and steps with the last differential's
-    matrix (the simplified Newton, or chord, iteration).  A chord step from
-    such an iterate that does not shrink the residual by CHORD_CONTRACTION
-    makes the next iterate compute d(exp_p) on ``fine`` and step with it,
-    keeping the endpoint exp gave.
+    by about its own relative error, so each iterate of the final corrector
+    integrates only the geodesic, exp_p(v) on ``integrator``, and steps with
+    the last differential's matrix (the simplified Newton, or chord,
+    iteration).  A chord step from such an iterate that does not shrink the
+    residual by CHORD_CONTRACTION makes the next iterate compute d(exp_p) on
+    ``integrator`` and step with it, keeping the endpoint exp gave.
 
     The run fails on an iterate that is not finite, on an endpoint or
-    differential that cannot be evaluated, and after ``max_iter`` steps.
+    differential that cannot be evaluated, and when its budget is spent.
     """
+    coarse = _coarse(integrator)
+    tol, max_iter = (CORRECTOR_TOL, LOG_ITERATIONS) if final else (FAR_RESIDUAL, NEWTON_ITERATIONS)
     frame = None
     residual = np.inf
     frames = 0
@@ -120,16 +128,16 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
                 frames += 1
                 x = frame.endpoint
             else:
-                x = exp(model, p, v, fine)
+                x = exp(model, p, v, integrator)
                 if not np.isfinite(x).all():
                     return "fail", v, None, residual, it, frames
             r = _wrap_delta(model, x - target)
             last_residual, residual = residual, float(np.linalg.norm(r))
-            if residual < tol and (coarse is fine or not far):
+            if residual < tol and not (final and far):
                 return "ok", v, replace(frame, endpoint=x), residual, it, frames
             refresh = chord and not far and not residual <= CHORD_CONTRACTION * last_residual
             if refresh:
-                frame = dexp_matrix(model, p, v, fine)
+                frame = dexp_matrix(model, p, v, integrator)
                 frames += 1
         except DomainEscape as esc:
             return "escape", v, esc, residual, it, frames
@@ -150,20 +158,12 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
     return "fail", v, frame, residual, max_iter, frames
 
 
-def _coarse(integrator: IntegratorConfig) -> IntegratorConfig:
-    """The integrator Newton steers with while it is far from the root; an
-    oracle config keeps its oracle frames."""
-    return integrator.with_(rtol=max(integrator.rtol, 1e-6),
-                            atol=max(integrator.atol, 1e-8))
-
-
 def _log_newton(model: ManifoldModel, p: np.ndarray, target: np.ndarray,
                 cfg: ConnectConfig):
     """local_log's Newton solve, returning the ``_newton`` tuple."""
     v = target - p
     v0 = float(np.linalg.norm(v))   # the chart-difference seed's step from v = 0
-    return _newton(model, p, v, target, cfg.integrator, _coarse(cfg.integrator), LOG_TOL,
-                   LOG_ITERATIONS, seed_step=v0)
+    return _newton(model, p, v, target, cfg.integrator, seed_step=v0)
 
 
 def local_log(
@@ -174,7 +174,7 @@ def local_log(
 ) -> np.ndarray:
     """Invert exp_p near p by full-step Newton iteration seeded at the chart difference.
 
-    The iteration and its stopping rules are those of the lift's corrector.
+    This is the final corrector, the one the lift runs on its last target.
     While the residual is at or above 1e-5, each iterate computes d(exp_p)
     on a coarse integrator, and the run stops at the first correction that
     is not shorter than the step before it, before that correction's iterate
@@ -185,8 +185,8 @@ def local_log(
     differential cannot be evaluated, or after LOG_ITERATIONS iterations.
     Below 1e-5, iterates integrate only the geodesic on ``cfg.integrator``
     and step with the last differential (chord steps); one whose step does
-    not halve the residual computes a fine differential first.  The returned v meets LOG_TOL at
-    ``exp(model, p, v, cfg.integrator)`` itself.
+    not halve the residual computes a fine differential first.  The returned
+    v meets CORRECTOR_TOL at ``exp(model, p, v, cfg.integrator)`` itself.
 
     Raises NoConvergence in each of these cases.  That means q is not
     reachable by full-step Newton from the chart-difference seed, not that
@@ -200,16 +200,10 @@ def local_log(
     return v
 
 
-def _segment_path(p: np.ndarray, q: np.ndarray) -> TargetPath:
-    delta = q - p
-    length = float(np.linalg.norm(delta))
-    direction = delta / length
-    return TargetPath(point=lambda t: p + t * direction, length=length)
-
-
-def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
+def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
           cfg: ConnectConfig) -> LiftOutcome:
-    """Track sigma through exp_p from v = 0; every witness, Connected
+    """Track the chart segment sigma(t) = p + t (q - p) / ell, of length
+    ell = |q - p|, through exp_p from v = 0; every witness, Connected
     included, carries its cost: accepted ``lift_steps``, predictor-corrector
     ``attempts``, the corrector's summed ``newton_iterations`` and
     ``dexp_calls``, every d(exp_p) computed, the identity frame at v = 0
@@ -218,18 +212,19 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     Each target is predicted through the last accepted frame and corrected by
     ``_newton``, seeded with the predictor's step.  An intermediate point
     only has to lie in the next corrector's Newton basin, so every target
-    before sigma(ell) is corrected on the coarse integrator to FAR_RESIDUAL,
-    and its accepted frame is the coarse differential at the accepted v.
-    Only the last target is corrected as ``local_log`` corrects: coarse while
-    far, then by chord steps on ``cfg.integrator`` to CORRECTOR_TOL, within
-    LOG_ITERATIONS, since it starts from a coarse point (Allgower & Georg,
-    *Introduction to Numerical Continuation Methods*, 2003).  The final
-    connect_tol check reads that corrector's endpoint, exp_p(v) on
-    ``cfg.integrator``, without integrating again.  A singular frame, met by
-    the predictor or the corrector, ends the lift with ConjugateHit, whose
-    witness holds ``t_hit``, ``v_at_hit`` and ``min_singular_value``.  A
-    corrector that fails halves the step; once the step is below 1e-7 * ell
-    the lift ends Stalled.
+    before sigma(ell) gets the intermediate corrector: coarse differentials
+    to FAR_RESIDUAL, and its accepted frame is the coarse differential at
+    the accepted v.  Only the last target gets the final corrector, the one
+    ``local_log`` runs: coarse while far, then chord steps on
+    ``cfg.integrator`` to CORRECTOR_TOL, within LOG_ITERATIONS, since it
+    starts from a coarse point (Allgower & Georg, *Introduction to Numerical
+    Continuation Methods*, 2003).  The final connect_tol check reads that
+    corrector's endpoint, exp_p(v) on ``cfg.integrator``, without
+    integrating again.  A singular frame, met by the predictor or the
+    corrector, ends the lift with ConjugateHit, whose witness holds
+    ``t_hit``, ``v_at_hit`` and ``min_singular_value``.  A corrector that
+    fails halves the step; once the step is below 1e-7 * ell the lift ends
+    Stalled.
 
     Divergence is read off the accepted norms.  |v| is recorded at the first
     step with |v| >= DIVERGENCE_START * ell and again whenever it doubles
@@ -238,16 +233,16 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
     the last one, g, so the norm blows up by t + g; if that is before sigma
     ends, the lift refuses with EscapeWitness.
     """
-    ell = sigma.length
+    delta = q - p
+    ell = float(np.linalg.norm(delta))
+    direction = delta / ell
     t = 0.0
     v = np.zeros_like(p)
     dt = ell / 16.0
     dt_min = ell * 1e-7
     trace: list[dict] = []
     records = _NormRecords(DIVERGENCE_START * ell)  # accepted |v|
-    fine = cfg.integrator
-    coarse = _coarse(fine)
-    frame = dexp_matrix(model, p, v, fine)  # the identity at v = 0
+    frame = dexp_matrix(model, p, v, cfg.integrator)  # the identity at v = 0
     attempts = 0
     newton_iterations = 0
     dexp_calls = 1
@@ -266,18 +261,15 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray, sigma: TargetPath,
         attempts += 1
         dt = min(dt, ell - t)
         last = t + dt >= ell
-        target = sigma.point(t + dt)
+        target = p + (t + dt) * direction
         try:
             dv = np.linalg.solve(frame.matrix,
                                  -_wrap_delta(model, frame.endpoint - target))
         except np.linalg.LinAlgError:
             return refuse("ConjugateHit", {"t_hit": t, "v_at_hit": v.tolist(),
                                            "min_singular_value": frame.min_singular_value})
-        near_ic, tol, budget = ((fine, CORRECTOR_TOL, LOG_ITERATIONS) if last
-                                else (coarse, FAR_RESIDUAL, NEWTON_ITERATIONS))
         flag, v_new, frame_new, res, it, frames = _newton(
-            model, p, v + dv, target, near_ic, coarse, tol, budget,
-            seed_step=float(np.linalg.norm(dv)))
+            model, p, v + dv, target, cfg.integrator, float(np.linalg.norm(dv)), final=last)
         newton_iterations += it
         dexp_calls += frames
         if flag == "escape":
@@ -343,6 +335,7 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
     """Find v with exp_p(v) = q: ``local_log`` near p, else one lift along
     the chart segment from p to q, whose outcome is returned with the fast
     path's ``newton_iterations`` and ``dexp_calls`` added to its witness.
+    Both end in the same final corrector, with one tolerance, CORRECTOR_TOL.
 
     A ConjugateHit means the segment's lift reached a singular frame; it
     does not show that q is unreachable, since another target path may
@@ -371,7 +364,7 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
             "residual": residual,
             "min_singular_value": frame.min_singular_value,
         }], {"method": "local_log", "newton_iterations": it, "dexp_calls": frames})
-    out = _lift(model, p, q, _segment_path(p, q), cfg)
+    out = _lift(model, p, q, cfg)
     out.witness["newton_iterations"] += it
     out.witness["dexp_calls"] += frames
     return out

@@ -58,9 +58,12 @@ class DomainEscape(GeoError):
 
 
 class LinearizationFailure(GeoError):
+    """The closed-form geodesic map gave a differential of exp_p, or an
+    endpoint, that is not finite."""
+
     def __init__(self, t: float, norm: float):
         super().__init__(
-            f"variational state exceeded bound at t = {t:.6g} (norm {norm:.3e})"
+            f"closed-form differential of exp not finite at t = {t:.6g} (norm {norm:.3e})"
         )
         self.t = t
         self.norm = norm

@@ -435,6 +435,20 @@ def test_cli_convex_check(capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("argv", [
+    [*_EUCLIDEAN_PROBE, "--kind", "convex", "--f", "x1^2"],
+    [*_EUCLIDEAN_PROBE, "--kind", "weakproper", "--f", "x1^2"],
+    [*_EUCLIDEAN_PROBE, "--kind", "gauss"],
+], ids=["probe-kind-convex", "probe-f", "probe-point-missing"])
+def test_cli_convexity_has_one_entry(argv, capsys):
+    """The convexity certificate runs only as convex-check: probe has no
+    convex kind and no --f flag, and its ray probes still need --point."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_seed_determinism(capsys):
     argv = ["convex-check", "--model", "euclidean", "--dim", "2",
             "--f", "x1^2", "--count", "12", "--seed", "7"]

@@ -1,7 +1,9 @@
 """Two-point connector: exactness, periodic charts, typed failures, reports."""
+import dataclasses
 import importlib.resources
 import json
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -12,10 +14,10 @@ from geoconnect import (
     conjugate_locus_sample, exp, local_log, model_registry, render_report,
 )
 from geoconnect.connect import (
-    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, LOG_TOL, NEWTON_ITERATIONS, RAY_SAMPLES,
-    SV_FLOOR, _coarse, _lift, _newton, _ray_is_regular, _segment_path,
+    CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, RAY_SAMPLES, SV_FLOOR, _coarse, _lift,
+    _log_newton, _newton, _ray_is_regular,
 )
-from geoconnect.errors import OutOfChart
+from geoconnect.errors import LinearizationFailure, OutOfChart
 from geoconnect.jacobi import DifferentialFrame, _wrap_delta, dexp_matrix, normalize_direction
 from geoconnect.manifold import embedding_point
 
@@ -130,11 +132,11 @@ def test_local_log_converges_where_its_corrections_shrink():
     out = connect(s, p, q)
     assert out.connected and out.witness["method"] == "local_log"
     assert np.array_equal(local_log(s, p, q), out.v)
-    lifted = _lift(s, p, q, _segment_path(p, q), ConnectConfig())
+    lifted = _lift(s, p, q, ConnectConfig())
     assert lifted.connected
     assert np.linalg.norm(out.v - lifted.v) < 1e-12
     end = exp(s, p, out.v, ConnectConfig().integrator)
-    assert np.linalg.norm(_wrap_delta(s, end - q)) < LOG_TOL
+    assert np.linalg.norm(_wrap_delta(s, end - q)) < CORRECTOR_TOL
 
 
 # a far sphere pair whose second Newton correction expands: the fast path
@@ -241,7 +243,7 @@ def test_desitter_reachable_targets_near_the_boundary_lift_to_connected():
     d = model_registry("desitter", n=2)
     p = np.array([0.0, 0.0])
     for q in _desitter_targets(31, -0.99, -0.8, 40):
-        out = _lift(d, p, q, _segment_path(p, q), _DS_CONNECT)
+        out = _lift(d, p, q, _DS_CONNECT)
         assert out.status == "Connected", (q, out.status, out.witness.get("blow_up_bound"))
 
 
@@ -277,14 +279,13 @@ def test_domain_exit_and_stall_witnesses_carry_their_cost():
     out = connect(s, np.array([1.5, 0.0]), np.array([1e-12, 0.0]))
     assert out.status == "DomainExit"
     _assert_cost(out.witness, out.lift_trace)
-    # a lift whose final endpoint misses q: report its cost as well
-    d = model_registry("desitter", n=2)
-    p = np.array([0.0, 0.0])
-    q = np.array([0.3, 0.2])
-    sigma = _segment_path(p, q)
-    out = _lift(d, p, q + 1e-3, sigma, _DS_CONNECT)
+    # a lift whose final endpoint meets CORRECTOR_TOL but not a connect_tol
+    # below it: report its cost as well
+    p, q = _FAR_PAIR
+    out = _lift(s, p, q, ConnectConfig(connect_tol=1e-15))
     assert out.status == "Stalled"
     assert out.witness["reason"] == "final residual above connect_tol"
+    assert 1e-15 < out.witness["residual"] < CORRECTOR_TOL
     _assert_cost(out.witness, out.lift_trace)
 
 
@@ -298,7 +299,7 @@ def test_conjugate_hit_carries_its_cost(monkeypatch):
 
     def newton(*args, **kwargs):
         result = real(*args, **kwargs)
-        if args[6] == LOG_TOL:              # local_log's solve, not the lift's corrector
+        if "final" not in kwargs:           # local_log's solve, not the lift's corrector
             return result
         runs.append(result[4])
         if len(runs) % 3 == 0:
@@ -320,6 +321,60 @@ def test_conjugate_hit_carries_its_cost(monkeypatch):
     jsonschema.validate(connect_report(s, out, p, q), _schema())
 
 
+def test_corrector_conjugate_hit_near_the_antipode():
+    """Along the equator of sphere2, q = (pi/2, pi - 1e-7) lies 1e-7 short of
+    the antipode of p, its first conjugate point, and exp_p(q - p) = q.  The
+    final corrector's first frame, at the chart-difference seed, has its
+    smallest singular value below SV_FLOOR (exactly sin(1e-7) / (pi - 1e-7),
+    about 3.2e-8; the coarse integrator reads 1.1e-7): local_log gives up
+    after that one frame, and the lift ends with the corrector's
+    ConjugateHit at the end of the segment."""
+    s = model_registry("sphere2")
+    p, q = np.array([np.pi / 2, 0.0]), np.array([np.pi / 2, np.pi - 1e-7])
+    flag, _, frame, _, it, frames = _log_newton(s, p, q, ConnectConfig())
+    assert (flag, it, frames) == ("conjugate", 0, 1)
+    assert frame.min_singular_value < SV_FLOOR
+    with pytest.raises(NoConvergence) as info:
+        local_log(s, p, q)
+    assert info.value.iterations == 0
+    out = connect(s, p, q)
+    assert out.status == "ConjugateHit"
+    w = out.witness
+    assert w["t_hit"] == pytest.approx(np.pi - 1e-7, rel=1e-15)
+    assert 0.0 < w["min_singular_value"] < SV_FLOOR
+    assert w["lift_steps"] == 8 and w["attempts"] == 9
+    _assert_cost(w, out.lift_trace)
+    jsonschema.validate(connect_report(s, out, p, q), _schema())
+
+
+class _NaNOracle:
+    """A closed-form geodesic map that returns NaN everywhere."""
+
+    def point(self, p, v, t):
+        return np.full(len(p), np.nan)
+
+    def point_embedding(self, p, v, t):
+        return np.full(len(p) + 1, np.nan)
+
+
+def test_non_finite_oracle_raises_linearization_failure():
+    """An oracle frame whose closed form is not finite raises the typed
+    LinearizationFailure, and connect turns it into a Stalled lift, with no
+    RuntimeWarning."""
+    e = dataclasses.replace(model_registry("euclidean", n=2), oracle=_NaNOracle())
+    cfg = IntegratorConfig(prefer_oracle=True)
+    with pytest.raises(LinearizationFailure) as info:
+        dexp_matrix(e, np.zeros(2), np.array([1.0, 0.5]), cfg)
+    assert info.value.t == 1.0 and info.value.norm == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = connect(e, np.zeros(2), np.array([1.0, 2.0]), ConnectConfig(integrator=cfg))
+    assert out.status == "Stalled"
+    assert out.witness["reason"] == "corrector step underflow"
+    assert out.witness["attempts"] == 20
+    _assert_cost(out.witness, out.lift_trace)
+
+
 def test_domain_exit_status():
     s = model_registry("sphere2")
     # target at the very chart edge: corrector geodesics leave the chart
@@ -338,14 +393,6 @@ def test_clifton_pohl_connect_and_typed_failure():
     # across the deleted origin: corrector geodesics exit the chart or stall
     bad = connect(cp, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
     assert bad.status in {"DomainExit", "Stalled", "EscapeWitness", "ConjugateHit"}
-
-
-def test_segment_path():
-    p = np.zeros(2)
-    q = np.array([2.0, 0.0])
-    base = _segment_path(p, q)
-    assert np.allclose(base.point(0.0), p)
-    assert np.allclose(base.point(base.length), q)
 
 
 def test_connect_report_and_render():
@@ -414,7 +461,7 @@ def test_fast_path_trace_records_the_newton_residual():
     # returned v, which may be exactly 0 when Newton lands on q
     end = exp(s, p, out.v, ConnectConfig().integrator)
     assert residual == np.linalg.norm(_wrap_delta(s, end - q))
-    assert residual < LOG_TOL
+    assert residual < CORRECTOR_TOL
     assert connect_report(s, out, p, q)["max_residual"] == residual
 
 
@@ -553,10 +600,9 @@ def test_lift_gives_its_last_target_the_local_log_budget():
 
 
 def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
-    """With the corrector's settings (fine integrator only, its iteration
-    budget) and ``seed_step`` inf, the first correction is always taken and
-    the length test acts from the second on: the shared Newton routine
-    gives up on the expanding pair of
+    """As the intermediate corrector, with ``seed_step`` inf, the first
+    correction is always taken and the length test acts from the second on:
+    the shared Newton routine gives up on the expanding pair of
     ``test_local_log_stops_at_first_non_contracting_step`` within 3 frames."""
     s = model_registry("sphere2")
     p = np.array([1.720708, -2.007481])
@@ -564,8 +610,7 @@ def test_corrector_stops_at_first_non_contracting_step(monkeypatch):
     fine = ConnectConfig().integrator
     frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
                           "dexp_matrix")
-    flag, *_ = _newton(s, p, q - p, q, fine, fine, CORRECTOR_TOL, NEWTON_ITERATIONS,
-                       seed_step=np.inf)
+    flag, *_ = _newton(s, p, q - p, q, fine, np.inf, final=False)
     assert flag == "fail"
     assert len(frames) <= 3
 
@@ -601,7 +646,7 @@ def test_predictor_conjugate_hit_reports_where_it_read_the_frame(monkeypatch):
     monkeypatch.setattr(module, "dexp_matrix", singular)
     e = model_registry("euclidean", n=2)
     p, q = np.zeros(2), np.array([1.0, 2.0])
-    out = _lift(e, p, q, _segment_path(p, q), ConnectConfig())
+    out = _lift(e, p, q, ConnectConfig())
     assert out.status == "ConjugateHit"
     w = out.witness
     assert w["attempts"] == 2 and w["lift_steps"] == 1

@@ -392,6 +392,20 @@ def test_wrap_delta_is_wrap_near_about_zero_bitwise():
         assert _wrap_delta(s, delta).tobytes() == ref.tobytes()
 
 
+def test_locus_sample_records_escaping_rays():
+    """Clifton-Pohl is incomplete: from (1, 0.5) the boost and null rays of
+    the locus grid blow up before t_max.  Each such ray is an escape row
+    with no conjugate time or point; the one null ray that reaches t_max
+    without a conjugate point is 'none'."""
+    cp = model_registry("clifton_pohl")
+    sample = conjugate_locus_sample(cp, (1.0, 0.5), t_max=3.0, count=8, refine=0)
+    statuses = [row["status"] for row in sample.rays]
+    assert len(statuses) == 12
+    assert statuses.count("escape:BlowUp") == 11 and statuses.count("none") == 1
+    assert all(row["t_star"] is None and row["point"] is None for row in sample.rays)
+    assert sample.clusters == []
+
+
 def test_component_of_point_reads_the_sampled_complement(monkeypatch):
     s = model_registry("sphere2")
     p = np.array([1.1, 0.4])
