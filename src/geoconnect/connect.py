@@ -1,10 +1,10 @@
 """Two-point geodesic connection by lifting the chart segment through exp_p.
 
-``connect`` first tries ``local_log``, full-step Newton from the chart
-difference q - p.  Otherwise it lifts one target path, the chart segment
-sigma from p to q, into the tangent space by continuation from v = 0: a
-predictor step through the inverse differential of exp_p plus a Newton
-corrector.  Failures are typed, never raised: a singular differential
+``connect`` first tries ``local_log``, full-step Newton from the inverse of
+exp_p's Taylor series at the chart difference q - p.  Otherwise it lifts one
+target path, the chart segment sigma from p to q, into the tangent space by
+continuation from v = 0: a predictor step through the inverse differential
+of exp_p plus a Newton corrector.  Failures are typed, never raised: a singular differential
 (conjugate hit), a lift norm that diverges before the target path ends
 (escape witness), leaving the maximal domain, or step underflow.
 """
@@ -21,7 +21,9 @@ from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
     dexp_matrix,
 )
-from .manifold import ManifoldModel, _check_chart, causal_class
+from .manifold import (
+    ManifoldModel, _check_chart, causal_class, christoffel_deriv_raw, christoffel_raw,
+)
 
 __all__ = [
     "ConnectConfig", "LiftOutcome",
@@ -158,12 +160,57 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
     return "fail", v, frame, residual, max_iter, frames
 
 
+def _series_seed(model: ManifoldModel, p: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The inverse of exp_p's Taylor series at the chart difference delta,
+    cut at its smallest term.
+
+    With Gamma and dGamma taken at p, the geodesic equation
+    x'' = -Gamma(x)(x', x') gives
+
+        exp_p(v) - p = v - Gamma(v, v) / 2
+                       + (2 Gamma(v, Gamma(v, v)) - dGamma(v, v, v)) / 6 + O(|v|^4),
+
+    whose inverse at delta = q - p is
+
+        v = delta + Gamma(delta, delta) / 2
+            + (Gamma(delta, Gamma(delta, delta)) + dGamma(delta, delta, delta)) / 6
+            + O(|delta|^4),
+
+    the expansion behind normal coordinates (Eisenhart, *Riemannian
+    Geometry*, 1926).  Gamma(a, b)^k = Gamma^k_ij a^i b^j is symmetric in a
+    and b, and dGamma(a, b, c)^k = d_l Gamma^k_ij a^l b^i c^j.
+
+    A term is kept only while it is shorter than the term before it, delta
+    being the first; a non-finite term is not shorter.  Otherwise the seed
+    is the partial sum before that term, as an asymptotic series is cut at
+    its smallest term.  dGamma is evaluated only when the second-order term
+    is kept.
+    """
+    n = len(p)
+    nn = n * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Gd[k, i] = Gamma^k_ij delta^j
+        Gd = christoffel_raw(model, p).reshape(nn, n).dot(delta).reshape(n, n)
+        gdd = Gd.dot(delta)
+        second = 0.5 * gdd
+        step = float(np.linalg.norm(second))
+        if not step < float(np.linalg.norm(delta)):
+            return delta
+        # dGddd[k] = d_l Gamma^k_ij delta^l delta^i delta^j
+        dGddd = (delta.dot(christoffel_deriv_raw(model, p).reshape(n, nn * n))
+                 .reshape(nn, n).dot(delta).reshape(n, n).dot(delta))
+        third = (Gd.dot(gdd) + dGddd) / 6.0
+        if not float(np.linalg.norm(third)) < step:
+            return delta + second
+        return delta + second + third
+
+
 def _log_newton(model: ManifoldModel, p: np.ndarray, target: np.ndarray,
                 cfg: ConnectConfig):
-    """local_log's Newton solve, returning the ``_newton`` tuple."""
-    v = target - p
-    v0 = float(np.linalg.norm(v))   # the chart-difference seed's step from v = 0
-    return _newton(model, p, v, target, cfg.integrator, seed_step=v0)
+    """local_log's Newton solve from the series seed, returning the
+    ``_newton`` tuple; the seed's own step, from v = 0, is |v|."""
+    v = _series_seed(model, p, target - p)
+    return _newton(model, p, v, target, cfg.integrator, seed_step=float(np.linalg.norm(v)))
 
 
 def local_log(
@@ -172,25 +219,27 @@ def local_log(
     target,
     cfg: ConnectConfig | None = None,
 ) -> np.ndarray:
-    """Invert exp_p near p by full-step Newton iteration seeded at the chart difference.
+    """Invert exp_p near p by full-step Newton iteration from the series seed.
 
-    This is the final corrector, the one the lift runs on its last target.
-    While the residual is at or above 1e-5, each iterate computes d(exp_p)
-    on a coarse integrator, and the run stops at the first correction that
-    is not shorter than the step before it, before that correction's iterate
-    is integrated.  The seed's own step, from v = 0, is |q - p|, so a first
-    correction longer than that ends the fast path after one frame.  It also
-    stops on a differential whose smallest singular value is below
-    SV_FLOOR, on an iterate that is not finite, when exp_p or its
-    differential cannot be evaluated, or after LOG_ITERATIONS iterations.
-    Below 1e-5, iterates integrate only the geodesic on ``cfg.integrator``
+    The seed is the inverse of exp_p's Taylor series at the chart difference
+    q - p, to third order, cut before its first term that is not shorter
+    than the one before it.  This is the final corrector, the one the lift
+    runs on its last target.  While the residual is at or above 1e-5, each
+    iterate computes d(exp_p) on a coarse integrator, and the run stops at
+    the first correction that is not shorter than the step before it, before
+    that correction's iterate is integrated.  The seed's own step, from
+    v = 0, is the seed's length, so a first correction longer than that ends
+    the fast path after one frame.  It also stops on a differential whose
+    smallest singular value is below SV_FLOOR, on an iterate that is not
+    finite, when exp_p or its differential cannot be evaluated, or after
+    LOG_ITERATIONS iterations.  Below 1e-5, iterates integrate only the geodesic on ``cfg.integrator``
     and step with the last differential (chord steps); one whose step does
     not halve the residual computes a fine differential first.  The returned
     v meets CORRECTOR_TOL at ``exp(model, p, v, cfg.integrator)`` itself.
 
     Raises NoConvergence in each of these cases.  That means q is not
-    reachable by full-step Newton from the chart-difference seed, not that
-    q is unreachable from p: ``connect`` then falls back to path lifting.
+    reachable by full-step Newton from the series seed, not that q is
+    unreachable from p: ``connect`` then falls back to path lifting.
     """
     flag, v, _, residual, it, _ = _log_newton(
         model, np.asarray(p, dtype=float), np.asarray(target, dtype=float),
@@ -332,10 +381,12 @@ def _ray_is_regular(frame: DifferentialFrame) -> bool:
 
 
 def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> LiftOutcome:
-    """Find v with exp_p(v) = q: ``local_log`` near p, else one lift along
-    the chart segment from p to q, whose outcome is returned with the fast
-    path's ``newton_iterations`` and ``dexp_calls`` added to its witness.
-    Both end in the same final corrector, with one tolerance, CORRECTOR_TOL.
+    """Find v with exp_p(v) = q: ``local_log`` from the series seed, else one
+    lift along the chart segment from p to q, whose outcome is returned with
+    the fast path's ``newton_iterations`` and ``dexp_calls`` added to its
+    witness.  Both end in the same final corrector, with one tolerance,
+    CORRECTOR_TOL.  A q within 1e-3 connect_tol of p, an absolute distance in
+    the chart, is connected with v = 0.
 
     A ConjugateHit means the segment's lift reached a singular frame; it
     does not show that q is unreachable, since another target path may
@@ -352,7 +403,7 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
     # the target path may force the lift around a chart seam with no
     # continuous preimage
     q = _wrap_near(model, q, p)
-    if np.allclose(p, q, atol=cfg.connect_tol * 1e-3):
+    if np.allclose(p, q, rtol=0.0, atol=cfg.connect_tol * 1e-3):
         return LiftOutcome("Connected", np.zeros_like(p), [],
                            {"newton_iterations": 0, "dexp_calls": 0})
     # fast path: q inside the normal neighborhood of p

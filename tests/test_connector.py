@@ -4,6 +4,7 @@ import importlib.resources
 import json
 import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,11 +16,19 @@ from geoconnect import (
 )
 from geoconnect.connect import (
     CORRECTOR_TOL, DIVERGENCE_GAP_RATIO, FAR_RESIDUAL, RAY_SAMPLES, SV_FLOOR, _coarse, _lift,
-    _log_newton, _newton, _ray_is_regular,
+    _log_newton, _newton, _ray_is_regular, _series_seed,
 )
 from geoconnect.errors import LinearizationFailure, OutOfChart
-from geoconnect.jacobi import DifferentialFrame, _wrap_delta, dexp_matrix, normalize_direction
-from geoconnect.manifold import embedding_point
+from geoconnect.jacobi import (
+    DifferentialFrame, _wrap_delta, _wrap_near, dexp_matrix, normalize_direction,
+)
+from geoconnect.manifold import christoffel_deriv_raw, christoffel_raw, embedding_point
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
 
 _DS_CONNECT = ConnectConfig(integrator=IntegratorConfig(
     rtol=1e-9, atol=1e-11, max_steps=4000, prefer_oracle=True))
@@ -72,6 +81,21 @@ def test_identical_endpoints():
     assert np.allclose(out.v, 0.0)
 
 
+@pytest.mark.parametrize("name, p, q", [
+    ("euclidean", (300.0, 0.0), (300.002, 0.0)),
+    ("hyperbolic2", (0.0, 1.0), (0.0, 1.000005)),
+], ids=["far_from_origin", "hyperbolic"])
+def test_nearly_identical_endpoints_are_connected_not_rounded_to_p(name, p, q):
+    """The p = q shortcut is absolute: a target a few connect_tol from p, far
+    from the chart origin, is connected to itself, not to p."""
+    m = model_registry(name, n=2) if name == "euclidean" else model_registry(name)
+    cfg = ConnectConfig()
+    out = connect(m, np.array(p), np.array(q), cfg)
+    assert out.connected
+    end = exp(m, np.array(p), out.v, cfg.integrator)
+    assert np.linalg.norm(end - np.array(q)) <= cfg.connect_tol
+
+
 def test_sphere_minimal_connect_roundtrip():
     s = model_registry("sphere2")
     rng = np.random.default_rng(7)
@@ -111,8 +135,8 @@ def test_local_log_inverts_exp():
 
 
 def test_local_log_raises_no_convergence():
-    """The first correction from the chart-difference seed is longer than the
-    seed's own step, so the fast path gives up after one iteration; the lift
+    """The first correction from the series seed is longer than the seed's
+    own step, so the fast path gives up after one iteration; the lift
     still connects the pair."""
     s = model_registry("sphere2")
     p = np.array([0.3, 0.0])
@@ -123,7 +147,7 @@ def test_local_log_raises_no_convergence():
 
 
 def test_local_log_converges_where_its_corrections_shrink():
-    """Across the pole, full Newton steps from the chart difference shrink
+    """Across the pole, full Newton steps from the series seed shrink
     at every iterate: the fast path connects the pair, to the v the lift
     along the chart segment finds."""
     s = model_registry("sphere2")
@@ -139,14 +163,93 @@ def test_local_log_converges_where_its_corrections_shrink():
     assert np.linalg.norm(_wrap_delta(s, end - q)) < CORRECTOR_TOL
 
 
-# a far sphere pair whose second Newton correction expands: the fast path
-# used to integrate iterates at |v| = 22.8 and 25.4 before giving up
-_FAR_PAIR = (np.array([0.8, 2.0515150994922253]), np.array([0.9, -0.6484849005077749]))
+def _series_terms(model, p, delta):
+    """The chart difference and the second- and third-order terms of exp_p's
+    inverse series, by einsum on the documented index layouts."""
+    G = christoffel_raw(model, p)           # G[k, i, j] = Gamma^k_ij
+    dG = christoffel_deriv_raw(model, p)    # dG[l, k, i, j] = d_l Gamma^k_ij
+    gdd = np.einsum("kij,i,j->k", G, delta, delta)
+    third = (np.einsum("kij,i,j->k", G, delta, gdd)
+             + np.einsum("lkij,l,i,j->k", dG, delta, delta, delta)) / 6.0
+    return delta, 0.5 * gdd, third
+
+
+@pytest.mark.parametrize("name, p, u", [
+    ("hyperbolic2", (0.2, 1.0), (0.3, -0.15)),
+    ("sphere2", (1.0, 0.4), (0.25, 0.35)),
+])
+def test_series_seed_misses_q_at_fourth_order(name, p, u):
+    """Halving delta along a fixed direction shrinks the series seed's miss
+    |exp_p(v0) - q| by about 16 (O(|delta|^4)), the chart difference's by
+    about 4 (O(|delta|^2)).  A third-order term that contracts dGamma's
+    upper index with delta instead of its derivative index leaves an
+    O(|delta|^3) miss, which shrinks by about 8."""
+    m = model_registry(name)
+    p = np.array(p)
+    fine = IntegratorConfig(rtol=1e-12, atol=1e-14)
+    misses = []
+    for k in range(5):
+        delta = np.array(u) / 2 ** k
+        q = p + delta
+        v0 = _series_seed(m, p, delta)
+        assert np.allclose(v0, sum(_series_terms(m, p, delta)), rtol=0.0, atol=1e-15)
+        misses.append([np.linalg.norm(exp(m, p, v, fine) - q) for v in (v0, delta)])
+    ratios = [[a / b for a, b in zip(m0, m1)] for m0, m1 in zip(misses, misses[1:])]
+    assert all(12.0 < seed < 17.0 for seed, _ in ratios), ratios
+    assert all(3.0 < chart < 4.5 for _, chart in ratios), ratios
+
+
+def test_series_seed_is_the_chart_difference_where_gamma_vanishes_at_p():
+    """On euclidean Gamma = 0; on desitter at the chart origin Gamma = 0 but
+    dGamma is not, so the second-order term is 0 and the third, not shorter
+    than 0, is dropped.  Both keep the chart difference bitwise."""
+    d = model_registry("desitter", n=2)
+    assert np.abs(christoffel_deriv_raw(d, np.zeros(2))).max() == 1.0
+    for m, p in [(model_registry("euclidean", n=2), np.array([0.3, -1.0])), (d, np.zeros(2))]:
+        delta = np.array([0.7, -0.4])
+        assert np.array_equal(_series_seed(m, p, delta), delta)
+
+
+def test_series_seed_stops_at_its_smallest_term():
+    """Near the pole (cot 0.3 ~ 3.2) the third-order term is longer than the
+    second: the seed stops at the second-order partial sum, and the fast path
+    still connects the pair."""
+    s = model_registry("sphere2")
+    p = np.array([0.3, 0.0])
+    q = np.array([0.05, 3.0])
+    delta, second, third = _series_terms(s, p, q - p)
+    assert np.linalg.norm(second) < np.linalg.norm(delta) <= np.linalg.norm(third)
+    assert np.allclose(_series_seed(s, p, q - p), delta + second, rtol=0.0, atol=1e-15)
+    out = connect(s, p, q)
+    assert out.connected and out.witness["method"] == "local_log"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_far_sphere_pair_connects_on_the_fast_path(seed):
+    """The benchmark's far sphere pairs, across the pole on one hemisphere,
+    connect from the series seed on the fast path, along the short arc."""
+    s = model_registry("sphere2")
+    pair = workloads._sphere_pair_far(np.random.default_rng(seed))
+    p, q = np.array(pair["p"]), np.array(pair["q"])
+    out = connect(s, p, q)
+    assert _is_fast_path(out) and out.witness["dexp_calls"] <= 6
+    flag, v, frame, *_ = _log_newton(s, p, _wrap_near(s, q, p), ConnectConfig())
+    assert flag == "ok" and np.array_equal(v, out.v) and _ray_is_regular(frame)
+    P, Q = embedding_point(s, p), embedding_point(s, q)
+    angle = np.arctan2(np.linalg.norm(np.cross(P, Q)), P @ Q)
+    length = np.sqrt(out.v @ np.asarray(s.metric(p)) @ out.v)
+    assert abs(length - angle) < 1e-6
+
+
+# a sphere pair whose second Newton correction expands, from the series seed
+# and from the chart difference alike: the fast path gives up after two
+# frames and the lift connects it
+_LIFT_PAIR = (np.array([1.68, -1.56]), np.array([2.11, 1.05]))
 
 
 @pytest.mark.parametrize("p,q", [
     (np.array([1.720708, -2.007481]), np.array([0.771795, -4.837131])),
-    _FAR_PAIR,
+    _LIFT_PAIR,
 ], ids=["expanding", "far"])
 def test_local_log_stops_at_first_non_contracting_step(monkeypatch, p, q):
     """A pair whose full Newton steps expand (|v| 3 -> 8 -> 17 -> ...) must
@@ -281,7 +384,7 @@ def test_domain_exit_and_stall_witnesses_carry_their_cost():
     _assert_cost(out.witness, out.lift_trace)
     # a lift whose final endpoint meets CORRECTOR_TOL but not a connect_tol
     # below it: report its cost as well
-    p, q = _FAR_PAIR
+    p, q = _LIFT_PAIR
     out = _lift(s, p, q, ConnectConfig(connect_tol=1e-15))
     assert out.status == "Stalled"
     assert out.witness["reason"] == "final residual above connect_tol"
@@ -459,8 +562,10 @@ def test_fast_path_trace_records_the_newton_residual():
     residual = out.lift_trace[0]["residual"]
     # Newton's last residual, not a placeholder: the miss of exp_p(v) at the
     # returned v, which may be exactly 0 when Newton lands on q
+    # connect aims at the representative of q nearest p, which on sphere2's
+    # periodic chart may differ from q in the last bit
     end = exp(s, p, out.v, ConnectConfig().integrator)
-    assert residual == np.linalg.norm(_wrap_delta(s, end - q))
+    assert residual == np.linalg.norm(_wrap_delta(s, end - _wrap_near(s, q, p)))
     assert residual < CORRECTOR_TOL
     assert connect_report(s, out, p, q)["max_residual"] == residual
 
@@ -538,7 +643,7 @@ def test_lift_corrects_intermediate_targets_coarsely(monkeypatch):
     to CORRECTOR_TOL; every target before it stops at FAR_RESIDUAL on the
     coarse one, computing coarse differentials and no geodesic endpoint."""
     s = model_registry("sphere2")
-    p, q = _FAR_PAIR
+    p, q = _LIFT_PAIR
     fine = ConnectConfig().integrator
     frames = _count_calls(monkeypatch, ["geoconnect.jacobi", "geoconnect.connect"],
                           "dexp_matrix")
@@ -659,7 +764,7 @@ def test_predictor_conjugate_hit_reports_where_it_read_the_frame(monkeypatch):
 
 @pytest.mark.parametrize("name, p, q, cfg, status", [
     ("sphere2", (1.2, 0.1), (1.5, 0.4), ConnectConfig(), "Connected"),
-    ("sphere2", *_FAR_PAIR, ConnectConfig(), "Connected"),
+    ("sphere2", *_LIFT_PAIR, ConnectConfig(), "Connected"),
     ("desitter", (0.0, 0.0), (np.pi, 2.5), _DS_CONNECT, "EscapeWitness"),
 ], ids=["fast_path", "lift", "refusal"])
 def test_witness_counts_every_differential(monkeypatch, name, p, q, cfg, status):

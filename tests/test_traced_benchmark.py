@@ -37,7 +37,7 @@ def _expected_spans(kind: str) -> set[str]:
         spans.add("geodesic.integrate")
     if kind.startswith("connect_"):
         spans |= {"connect", "jacobi.dexp"}
-    if kind in ("connect_sphere_far", "connect_desitter_unreachable"):
+    if kind == "connect_desitter_unreachable":
         spans.add("connect.lift")
     if kind.startswith("scan_"):
         spans |= {"jacobi.scan", "jacobi.variational"}
