@@ -6,7 +6,8 @@ Differential Equations I*, II.4-II.6), driven step by step; the dense output
 is kept per accepted step.  Termination is typed: reaching the horizon, or
 the first zero of a monitor of the state -- leaving the chart, blow-up in
 finite parameter, or (on a variational integration) a conjugate point --
-located by Brent's root finder on the step's interpolant.
+located by Brent's root finder on the step's interpolant, or steps that
+underflow at the chart's edge.
 """
 from __future__ import annotations
 
@@ -193,6 +194,25 @@ Monitor = Callable[[float, np.ndarray], float]   # (t, state) -> margin, zero en
 StopHook = Callable[[float, float, np.ndarray, Callable], Optional[Termination]]
 
 
+class _ChartMargin:
+    """Monitor of the chart margin at the position part x = y[:n] of a state."""
+
+    __slots__ = ("margin", "n")
+
+    def __init__(self, model: ManifoldModel):
+        self.margin = model.domain.margin
+        self.n = model.dim
+
+    def __call__(self, t: float, y: np.ndarray) -> float:
+        return self.margin(y[:self.n])
+
+    def at_edge(self, y: np.ndarray, rtol: float, atol: float) -> bool:
+        """Whether the margin at y is within the integrator's error scale for
+        the position, atol + rtol |x|_inf."""
+        x = y[:self.n]
+        return self.margin(x) <= atol + rtol * float(np.abs(x).max())
+
+
 class _NormRecords:
     """Times at which a growing norm first reaches each of a doubling sequence
     of levels: ``start``, then twice the last recorded norm.
@@ -338,9 +358,13 @@ def _integrate(
     Steps are taken with the 5th-order solution.  A trial step is accepted
     when the RMS of its error estimate over atol + max(|y|, |y_new|) * rtol
     is below 1; the next step is scaled by 0.9 * err^(-1/5), limited to
-    [0.2, 10] and to at most 1 right after a rejection.  A step below
-    10 ulp(t) or NaN, or more than max_steps accepted steps, raises
-    StepSizeUnderflow; a non-finite y0 or t_end raises ValueError.  When a
+    [0.2, 10] and to at most 1 right after a rejection.  A trial step below
+    10 ulp(t) or NaN ends the path with CHART_EXIT at the last accepted
+    state, so term_time == ts[-1], when a chart-margin monitor
+    (``_ChartMargin``) reads at most atol + rtol |x|_inf there, the error
+    scale of the position x; otherwise, and before any accepted step, it
+    raises StepSizeUnderflow, as do more than max_steps accepted steps.  A
+    non-finite y0 or t_end raises ValueError.  When a
     monitor's fn(t, y) is non-positive after a step, the path ends with its
     termination at fn's first zero on that step's interpolant (Brent); the
     earliest zero wins, the earlier-listed monitor on a tie.  After an
@@ -386,13 +410,12 @@ def _integrate(
         segments = []
         termination = Termination.REACHED_TMAX
         term_time = t_end
+        chart = next((fn for fn, _ in monitors if isinstance(fn, _ChartMargin)), None)
         while True:
             min_step = 10 * math.ulp(t)
             h_abs = max(h_abs, min_step)
             retried = False
-            while True:
-                if not h_abs >= min_step:   # also a NaN step
-                    raise StepSizeUnderflow(sign * t)
+            while h_abs >= min_step:   # False also for a NaN step
                 t_new = min(t + h_abs, t_end)
                 h = t_new - t
                 h_abs = abs(h)
@@ -405,6 +428,11 @@ def _integrate(
                 h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
                 rejected += 1
                 retried = True
+            else:   # the step underflowed: at a chart edge, the path ends there
+                if not (accepted and chart is not None and chart.at_edge(y, rtol, atol)):
+                    raise StepSizeUnderflow(sign * t)
+                termination, term_time = Termination.CHART_EXIT, t
+                break
             factor = _MAX_FACTOR if err == 0 else min(
                 _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
             if retried:
@@ -464,12 +492,14 @@ def geodesic_rhs(model: ManifoldModel) -> Callable:
     return rhs
 
 
-def chart_exit_monitors(model: ManifoldModel) -> list[tuple[Monitor, Termination]]:
-    """Chart-margin monitor on the position part of the state; none for full-R^n charts."""
-    if model.domain.is_trivial:
-        return []
+def ray_monitors(model: ManifoldModel, blowup_norm: float) -> list[tuple[Monitor, Termination]]:
+    """The monitors that end every ray integration: the chart margin (none for
+    full-R^n charts), then blow-up, |(x, v)|_inf reaching ``blowup_norm``."""
     n = model.dim
-    return [(lambda t, y: model.domain.margin(y[:n]), Termination.CHART_EXIT)]
+    blow_up = (lambda t, y: blowup_norm - float(np.abs(y[:2 * n]).max()), Termination.BLOW_UP)
+    if model.domain.is_trivial:
+        return [blow_up]
+    return [(_ChartMargin(model), Termination.CHART_EXIT), blow_up]
 
 
 def integrate_geodesic(
@@ -488,12 +518,9 @@ def integrate_geodesic(
         ts = np.array([0.0, t_end]) if t_end != 0.0 else np.array([0.0])
         states = np.tile(y0, (len(ts), 1))
         return GeodesicPath(model, ts, states, Termination.REACHED_TMAX, t_end, None)
-    blow = cfg.blowup_norm
     ts, ys, sol, term, t_term, rejected = _integrate(
         geodesic_rhs(model), y0, t_end, cfg.rtol, cfg.atol, cfg.max_steps,
-        [*chart_exit_monitors(model),
-         (lambda t, y: blow - float(np.abs(y).max()), Termination.BLOW_UP)],
-    )
+        ray_monitors(model, cfg.blowup_norm))
     return GeodesicPath(model, ts, ys, term, t_term, sol, rejected)
 
 

@@ -4,8 +4,9 @@ The n columns of d(exp_p)_v are end values of variational solutions seeded
 with (dx, dv)(0) = (0, e_i) along the base geodesic; along a ray t -> t*u
 the same solution gives d(exp_p)_{t u} = J(t)/t, so one integration covers
 the whole ray when scanning for conjugate points.  The scan watches
-det(J(t)/t) as a terminal monitor of that integration, beside chart exit and
-blow-up, so it stops at the first conjugate point.
+det(J(t)/t) as a terminal monitor of that integration, beside the chart
+margin and the blow-up of (x, v) that end every ray (``ray_monitors``), so it
+stops at the first conjugate point.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import DomainEscape, LinearizationFailure
 from .geodesic import (
     GeodesicPath, IntegratorConfig, Monitor, Termination, _brent, _integrate, _NormRecords,
-    chart_exit_monitors,
+    ray_monitors,
 )
 from .manifold import (
     ManifoldModel, causal_sign, central_difference, check_tangent,
@@ -31,11 +32,10 @@ __all__ = [
     "dexp_matrix", "integrate_variational", "first_conjugate_time",
     "conjugate_locus_sample", "normalize_direction", "direction_grid",
     "complement_grid", "component_of_point",
-    "SINGULAR_TOL", "VARIATIONAL_BOUND", "BLOW_UP_AGREEMENT",
+    "SINGULAR_TOL", "BLOW_UP_AGREEMENT",
 ]
 
 SINGULAR_TOL = 1e-9
-VARIATIONAL_BOUND = 1e12
 BLOW_UP_AGREEMENT = 1e-5    # two consecutive blow-up time estimates from the chart
                             # position's doubling times that agree to this relative
                             # tolerance end a variational path with BLOW_UP
@@ -209,27 +209,24 @@ def integrate_variational(
     """Base geodesic and Jacobi matrix J along the ray of v.  With ``singular_tol``
     it ends with CONJUGATE_POINT where det(J(t)/t) first falls to it in (0, t_max].
 
-    BlowUp has two sources.  A state passing a fixed bound ends the path at
-    the located crossing: ``cfg.blowup_norm`` for x and v, VARIATIONAL_BOUND
-    for J and J'.  The growth law of the chart position |x|_inf ends it
-    earlier, at the accepted step where the blow-up time estimated from the
-    times of its doublings settles (``_BlowUpWatch``): then ``term_time`` is
-    ``ts[-1]``, every state is an integrated one, and ``witness`` holds the
-    ``norm_records`` (t, norm) at each doubling, the last ``gap_ratio`` and
-    the ``blow_up_bound`` T.  A monitor zero inside that step still wins.
+    It ends as ``integrate_geodesic`` does, with the same monitors: CHART_EXIT
+    at the located zero of the chart margin, or at the last accepted state
+    when the steps underflow within the integrator's error scale of the chart
+    edge (J' diverges there on the polar chart); BlowUp where |(x, v)|_inf
+    reaches ``cfg.blowup_norm``.  J and J' are not bounded: near a chart edge
+    they may grow without limit along a complete geodesic.  The growth law
+    of the chart position |x|_inf ends it BlowUp earlier, at the accepted
+    step where the blow-up time estimated from the times of its doublings
+    settles (``_BlowUpWatch``): then ``term_time`` is ``ts[-1]``, every state
+    is an integrated one, and ``witness`` holds the ``norm_records`` (t, norm)
+    at each doubling, the last ``gap_ratio`` and the ``blow_up_bound`` T.  A
+    monitor zero inside that step still wins.
     """
     cfg = cfg or IntegratorConfig()
     n = model.dim
     p, v = check_tangent(model, p, v)
     y0 = np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
-    base_blow = cfg.blowup_norm
-
-    def blow_fn(t, y):
-        m = base_blow - float(np.abs(y[:2 * n]).max())
-        var = float(np.abs(y[2 * n:]).max())
-        return min(m, VARIATIONAL_BOUND - var)
-
-    monitors = [*chart_exit_monitors(model), (blow_fn, Termination.BLOW_UP)]
+    monitors = ray_monitors(model, cfg.blowup_norm)
     if singular_tol is not None:
         monitors.append((_conjugate_monitor(n, singular_tol), Termination.CONJUGATE_POINT))
     watch = _BlowUpWatch(n, p, t_max)
@@ -240,9 +237,13 @@ def integrate_variational(
 
 
 def _wrap_near(model: ManifoldModel, x: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Map x, in place, to its periodic representative nearest ref."""
+    """Map x, in place, to its periodic representative nearest ref.  Only a
+    coordinate outside [-per/2, per/2) about ref is rewritten: the modulo
+    would move one inside by an ulp."""
     for idx, per in model.metadata.get("periodic", {}).items():
-        x[idx] = ref[idx] + (x[idx] - ref[idx] + 0.5 * per) % per - 0.5 * per
+        d = x[idx] - ref[idx]
+        if not -0.5 * per <= d < 0.5 * per:
+            x[idx] = ref[idx] + (d + 0.5 * per) % per - 0.5 * per
     return x
 
 
@@ -251,7 +252,8 @@ def _wrap_delta(model: ManifoldModel, delta: np.ndarray) -> np.ndarray:
     This is ``_wrap_near`` about 0 with the zeros left out: adding or subtracting
     0.0 there changes no bit of the result."""
     for idx, per in model.metadata.get("periodic", {}).items():
-        delta[idx] = (delta[idx] + 0.5 * per) % per - 0.5 * per
+        if not -0.5 * per <= delta[idx] < 0.5 * per:
+            delta[idx] = (delta[idx] + 0.5 * per) % per - 0.5 * per
     return delta
 
 
@@ -352,9 +354,12 @@ def first_conjugate_time(
     step end and stops at its first zero on that step's interpolant.  A sign
     change is always found, a dip only if it reaches a step end, so an even
     multiplicity, where det keeps its sign, can be missed.  Raises
-    DomainEscape if the ray leaves the domain before any singularity; a
-    blow-up read off the position's growth law carries its ``witness``
-    (see ``integrate_variational``).  For t_max <= 0 the interval is empty
+    DomainEscape if the ray ends ChartExit or BlowUp before any singularity
+    (see ``integrate_variational``); a blow-up read off the position's growth
+    law carries its ``witness``.  A ray that passes near a chart edge without
+    reaching it is scanned through while its chart velocity stays below
+    ``cfg.blowup_norm``: a great circle grazing the polar chart's pole at
+    1e-8 is, one at 1e-9 ends BlowUp.  For t_max <= 0 the interval is empty
     and the answer is None, without integrating.
     """
     if t_max <= 0.0:

@@ -378,18 +378,32 @@ def test_desitter3_connects_exactly_the_reachable_targets():
 
 
 def test_domain_exit_and_stall_witnesses_carry_their_cost():
-    s = model_registry("sphere2")
-    out = connect(s, np.array([1.5, 0.0]), np.array([1e-12, 0.0]))
+    # a Clifton-Pohl lift whose geodesic blows up in finite parameter
+    cp = model_registry("clifton_pohl")
+    out = connect(cp, np.array([-0.12990589779639006, 0.4402320320777484]),
+                  np.array([1.7217699907186645, -1.0164584654382676]))
     assert out.status == "DomainExit"
+    assert out.witness["termination"] == "BlowUp"
     _assert_cost(out.witness, out.lift_trace)
     # a lift whose final endpoint meets CORRECTOR_TOL but not a connect_tol
     # below it: report its cost as well
+    s = model_registry("sphere2")
     p, q = _LIFT_PAIR
     out = _lift(s, p, q, ConnectConfig(connect_tol=1e-15))
     assert out.status == "Stalled"
     assert out.witness["reason"] == "final residual above connect_tol"
     assert 1e-15 < out.witness["residual"] < CORRECTOR_TOL
     _assert_cost(out.witness, out.lift_trace)
+
+
+def test_target_at_the_polar_chart_edge_connects():
+    """q lies 1e-12 from the pole on p's meridian: exp_p(q - p) = q, and the
+    differential's J' diverging at the chart edge is no blow-up."""
+    s = model_registry("sphere2")
+    p, q = np.array([1.5, 0.0]), np.array([1e-12, 0.0])
+    out = connect(s, p, q)
+    assert out.status == "Connected"
+    assert np.linalg.norm(_wrap_delta(s, exp(s, p, out.v) - q)) < ConnectConfig().connect_tol
 
 
 def test_conjugate_hit_carries_its_cost(monkeypatch):

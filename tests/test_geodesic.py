@@ -266,6 +266,17 @@ def test_non_finite_christoffel_symbols_raise_step_size_underflow():
     assert info.value.t == pytest.approx(0.5, abs=1e-9)
 
 
+def test_step_underflow_inside_the_chart_still_raises():
+    """Symbols that turn NaN at theta = 1, far inside the polar chart, mark no
+    chart edge: the underflow at t = 0.5 raises, with the chart monitor on."""
+    s = model_registry("sphere2")
+    nan = np.full((2, 2, 2), np.nan)
+    m = dataclasses.replace(s, christoffel=lambda x: nan if x[0] < 1.0 else s.christoffel(x))
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate_geodesic(m, np.array([1.5, 0.0]), np.array([-1.0, 0.0]), t_max=2.0)
+    assert info.value.t == pytest.approx(0.5, abs=1e-9)
+
+
 def test_oracle_embedding_stays_on_surface():
     s = model_registry("sphere2")
     d = model_registry("desitter", n=2)
@@ -515,7 +526,10 @@ def test_import_pulls_in_no_scipy():
 
 def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=(), stop=None):
     """The event-watching loop driven by scipy's RK45, as the reference.  The
-    step-end stop hook sees the stepping variable s = |t|, as ``_integrate``'s."""
+    step-end stop hook sees the stepping variable s = |t|, as ``_integrate``'s.
+    A step that RK45 finds below its 10-ulp minimum ends the path with
+    ChartExit at the last accepted state when the chart margin there is
+    within the error scale of the position, as ``_integrate``'s does."""
     from scipy.integrate import RK45, OdeSolution
     from scipy.optimize import brentq
 
@@ -526,7 +540,11 @@ def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=(), stop=No
     while solver.status == "running":
         with np.errstate(over="ignore", invalid="ignore"):
             solver.step()
-        assert solver.status != "failed"
+        if solver.status == "failed":
+            chart = next(fn for fn, _ in monitors if isinstance(fn, geodesic._ChartMargin))
+            assert len(ts) > 1 and chart.at_edge(solver.y, solver.rtol, atol)
+            termination, term_time = Termination.CHART_EXIT, solver.t
+            break
         dense = solver.dense_output()
         interpolants.append(dense)
         hit = None
@@ -565,6 +583,9 @@ def _scipy_integrate(rhs, y0, t_end, rtol, atol, max_steps, monitors=(), stop=No
     ("hyperbolic2", (0.3, 1.0), (1.0, 0.4), -3.0, False, Termination.REACHED_TMAX),
     ("desitter", (0.2, 0.3), (0.4, 1.1), 3.0, True, Termination.REACHED_TMAX),
     ("clifton_pohl", (1.0, 0.5), (1.0, 1.0), 3.0, True, Termination.BLOW_UP),
+    # meridians into the poles: the steps underflow at the chart edge
+    ("sphere2", (0.5, 1.0), (-1.0, 0.0), 2.0, True, Termination.CHART_EXIT),
+    ("sphere2", (2.5, 1.0), (1.0, 0.0), 2.0, True, Termination.CHART_EXIT),
 ])
 def test_integrator_matches_scipy_rk45(monkeypatch, name, p, v, t_max, variational,
                                        termination):

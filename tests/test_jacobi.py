@@ -4,8 +4,8 @@ import pytest
 
 from geoconnect import (
     DomainEscape, GeodesicPath, IntegratorConfig, energy_drift, Termination, conjugate_locus_sample,
-    dexp_matrix, exp, first_conjugate_time, hyperboloid_sweep_family, integrate_variational,
-    model_registry, normalize_direction, radial_ray_family,
+    dexp_matrix, exp, first_conjugate_time, hyperboloid_sweep_family, integrate_geodesic,
+    integrate_variational, model_registry, normalize_direction, radial_ray_family,
 )
 from geoconnect import jacobi
 from geoconnect.geodesic import _integrate
@@ -392,6 +392,16 @@ def test_wrap_delta_is_wrap_near_about_zero_bitwise():
         assert _wrap_delta(s, delta).tobytes() == ref.tobytes()
 
 
+def test_wrapping_keeps_in_range_coordinates_bitwise():
+    s = model_registry("sphere2")
+    assert jacobi._wrap_near(s, np.array([1.5, 0.4]), np.array([1.2, 0.1]))[1] == 0.4
+    assert _wrap_delta(s, np.array([0.0, 0.3]))[1] == 0.3
+    # an out-of-range coordinate still moves to the representative nearest ref
+    assert jacobi._wrap_near(s, np.array([1.5, 3.0]), np.array([1.2, -3.0]))[1] == \
+        pytest.approx(3.0 - 2.0 * np.pi, abs=1e-15)
+    assert _wrap_delta(s, np.array([0.0, np.pi]))[1] == -np.pi
+
+
 def test_locus_sample_records_escaping_rays():
     """Clifton-Pohl is incomplete: from (1, 0.5) the boost and null rays of
     the locus grid blow up before t_max.  Each such ray is an escape row
@@ -420,17 +430,31 @@ def test_component_of_point_reads_the_sampled_complement(monkeypatch):
     assert calls == []
 
 
-def test_variational_termination_mirrors_base_path():
-    s = model_registry("sphere2")
-    var = integrate_variational(s, np.array([0.5, 0.0]), np.array([-1.0, 0.0]),
-                                t_max=2.0)
-    # the variational state diverges (cot theta) right at the chart edge, so
-    # either typed termination is acceptable -- but the located time is 0.5
-    assert var.termination in (Termination.CHART_EXIT, Termination.BLOW_UP)
-    assert var.term_time == pytest.approx(0.5, abs=1e-5)
-
-
 SCAN_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10)
+
+
+def test_variational_termination_mirrors_base_path():
+    """J' diverges (cot theta) at the chart edge, where the steps underflow:
+    the path ends ChartExit at its last accepted state, where the base
+    geodesic's chart margin reaches zero."""
+    s = model_registry("sphere2")
+    p, v = np.array([0.5, 0.0]), np.array([-1.0, 0.0])
+    var = integrate_variational(s, p, v, t_max=2.0)
+    base = integrate_geodesic(s, p, v, t_max=2.0)
+    assert var.termination is base.termination is Termination.CHART_EXIT
+    assert var.term_time == var.ts[-1]
+    assert var.term_time == pytest.approx(base.term_time, abs=1e-12)
+
+
+@pytest.mark.parametrize("p,v", [((0.5, 1.0), (-1.0, 0.0)), ((2.5, 1.0), (1.0, 0.0))])
+@pytest.mark.parametrize("cfg", [None, SCAN_CFG])
+def test_meridians_into_either_pole_end_as_their_geodesic(p, v, cfg):
+    s = model_registry("sphere2")
+    var = integrate_variational(s, np.array(p), np.array(v), t_max=2.0, cfg=cfg)
+    base = integrate_geodesic(s, np.array(p), np.array(v), cfg, t_max=2.0)
+    assert var.termination is base.termination is Termination.CHART_EXIT
+    assert var.witness is None
+
 
 
 def test_axis_blow_up_bound_is_the_closed_form():
@@ -460,10 +484,8 @@ def test_clifton_pohl_scan_ends_at_its_settled_blow_up_time():
     var = integrate_variational(cp, np.array([1.0, 0.5]), np.array([1.0, 1.0]), t_max=3.0,
                                 cfg=SCAN_CFG, singular_tol=SINGULAR_TOL)
     assert var.termination is Termination.BLOW_UP
-    assert var.steps <= 240     # 309 when J had to reach VARIATIONAL_BOUND
+    assert var.steps <= 240
     assert var.term_time == var.ts[-1] < var.witness["blow_up_bound"] <= 3.0
-    # every state is an integrated one, none a located crossing
-    assert np.abs(var.states[-1]).max() < jacobi.VARIATIONAL_BOUND
     with pytest.raises(DomainEscape) as exc:
         first_conjugate_time(cp, (1.0, 0.5), (1.0, 1.0), 3.0, SCAN_CFG)
     assert exc.value.t == var.term_time
@@ -493,7 +515,7 @@ def test_survey_clifton_pohl_escapes_lie_in_range():
     assert witnessed > 0
 
 
-@pytest.mark.parametrize("closest", [1e-3, 1e-4, 1e-5, 2e-6])
+@pytest.mark.parametrize("closest", [1e-3, 1e-4, 1e-5, 2e-6, 1e-6, 1e-8])
 @pytest.mark.parametrize("cfg", [None, SCAN_CFG])
 def test_great_circle_grazing_the_pole_is_not_a_blow_up(closest, cfg):
     """J and J' spike to about closest^-2 as the circle passes the polar chart's
@@ -506,13 +528,9 @@ def test_great_circle_grazing_the_pole_is_not_a_blow_up(closest, cfg):
     assert np.abs(var.states[:, 4:]).max() > 0.5 / closest ** 2
 
 
-def test_pole_at_one_millionth_meets_the_fixed_variational_bound():
-    """At a closest approach of 1e-6, J' reaches VARIATIONAL_BOUND at the pole:
-    the fixed bound ends the path, with no growth witness."""
+def test_conjugate_scan_passes_the_pole_on_a_grazing_great_circle():
+    """A great circle 1e-6 from the pole meets its first conjugate point at pi."""
     s = model_registry("sphere2")
     v = np.array([-np.cos(1e-6), np.sin(1e-6)])
-    var = integrate_variational(s, np.array([np.pi / 2, 0.0]), v, t_max=3.0)
-    assert var.termination is Termination.BLOW_UP
-    assert var.witness is None
-    assert var.term_time == pytest.approx(np.pi / 2, abs=1e-5)
-    assert np.abs(var.states[-1, 4:]).max() == pytest.approx(jacobi.VARIATIONAL_BOUND)
+    t_star = first_conjugate_time(s, np.array([np.pi / 2, 0.0]), v, 4.0)
+    assert t_star == pytest.approx(np.pi, abs=1e-7)
