@@ -146,7 +146,7 @@ def cmd_shoot(args) -> int:
     n = model.dim
     header = ["t"] + [f"x{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)]
     print(",".join(header))
-    if args.samples and path.sol is not None:
+    if args.samples:
         ts = np.linspace(0.0, path.term_time, args.samples)
         for t in ts:
             y = path.sol(t)
@@ -211,7 +211,10 @@ def _probe_family(model, args, norm_cap: float):
     if name == "spiral":
         return spiral_family(model, p, norm_cap=norm_cap)
     if name == "hyperboloid":
-        return hyperboloid_sweep_family(model, p, gnorm=args.gnorm, norm_cap=norm_cap)
+        try:
+            return hyperboloid_sweep_family(model, p, gnorm=args.gnorm, norm_cap=norm_cap)
+        except ValueError as err:   # a definite model: no boost plane to sweep
+            raise argparse.ArgumentTypeError(f"argument --family: {err}") from None
     if name == "polyline":
         pts = [_model_vector(model, t, "--waypoints")
                for t in (args.waypoints or "").split(";") if t]
@@ -251,6 +254,9 @@ def cmd_probe(args) -> int:
         if len(parts) != 2:
             raise argparse.ArgumentTypeError(f"argument --box: {args.box!r} is not 'lo;hi'")
         lo, hi = (_model_vector(model, t, "--box") for t in parts)
+        if not np.all(lo < hi):
+            raise argparse.ArgumentTypeError(
+                f"argument --box: {args.box!r} needs lo < hi in every coordinate")
         out = pseudoconvexity_probe(model, (lo, hi), sample_count=args.count,
                                     horizon=args.tmax, seed=args.seed,
                                     cfg=_integrator(args))
@@ -259,6 +265,9 @@ def cmd_probe(args) -> int:
         if not model.is_riemannian:
             raise argparse.ArgumentTypeError(
                 f"argument --kind: gauss needs a Riemannian model, not {model.name}")
+        if not args.tmax > 0.0:
+            raise argparse.ArgumentTypeError(
+                f"argument --tmax: gauss needs a positive radius, not {args.tmax:g}")
         rs = np.linspace(args.tmax / 32.0, args.tmax, 32)
         out = gauss_lemma_check(model, args.point, rs, direction_count=32,
                                 cfg=_integrator(args))

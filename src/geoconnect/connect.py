@@ -21,9 +21,7 @@ from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
     dexp_matrix,
 )
-from .manifold import (
-    ManifoldModel, _check_chart, causal_class, christoffel_deriv_raw, christoffel_raw,
-)
+from .manifold import ManifoldModel, _check_chart, causal_class, connection
 
 __all__ = [
     "ConnectConfig", "LiftOutcome",
@@ -188,16 +186,17 @@ def _series_seed(model: ManifoldModel, p: np.ndarray, delta: np.ndarray) -> np.n
     """
     n = len(p)
     nn = n * n
+    gamma, dgamma = connection(model)
     with np.errstate(over="ignore", invalid="ignore"):
         # Gd[k, i] = Gamma^k_ij delta^j
-        Gd = christoffel_raw(model, p).reshape(nn, n).dot(delta).reshape(n, n)
+        Gd = np.asarray(gamma(p), dtype=float).reshape(nn, n).dot(delta).reshape(n, n)
         gdd = Gd.dot(delta)
         second = 0.5 * gdd
         step = float(np.linalg.norm(second))
         if not step < float(np.linalg.norm(delta)):
             return delta
         # dGddd[k] = d_l Gamma^k_ij delta^l delta^i delta^j
-        dGddd = (delta.dot(christoffel_deriv_raw(model, p).reshape(n, nn * n))
+        dGddd = (delta.dot(np.asarray(dgamma(p), dtype=float).reshape(n, nn * n))
                  .reshape(nn, n).dot(delta).reshape(n, n).dot(delta))
         third = (Gd.dot(gdd) + dGddd) / 6.0
         if not float(np.linalg.norm(third)) < step:
@@ -291,7 +290,7 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
     dt_min = ell * 1e-7
     trace: list[dict] = []
     records = _NormRecords(DIVERGENCE_START * ell)  # accepted |v|
-    frame = dexp_matrix(model, p, v, cfg.integrator)  # the identity at v = 0
+    frame = dexp_matrix(model, p, v, cfg.integrator)  # the identity, exactly, at v = 0
     attempts = 0
     newton_iterations = 0
     dexp_calls = 1

@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainEscape, NoOracle, StepSizeUnderflow
-from .manifold import ManifoldModel, check_tangent, christoffel_raw
+from .manifold import ManifoldModel, check_tangent, connection
 
 __all__ = [
     "IntegratorConfig", "Termination", "GeodesicPath", "DenseSolution",
@@ -263,9 +262,12 @@ class IntegratorConfig:
 @dataclass
 class GeodesicPath:
     """Integrated ray: node times, states whose first 2n entries are the chart
-    position and velocity, typed termination and the integrator's work.
+    position and velocity, typed termination, dense output and the
+    integrator's work.
 
-    A path without dense output was not integrated and counts no work.
+    A stationary path (zero velocity or zero horizon) is the exact solution
+    of ``_straight``: it was not integrated, its dense output has the single
+    node 0, and it counts no work.
     """
 
     model: ManifoldModel
@@ -273,7 +275,7 @@ class GeodesicPath:
     states: np.ndarray        # (len(ts), 2n + extra): position, velocity, extra
     termination: Termination
     term_time: float
-    sol: Optional[DenseSolution] = None
+    sol: DenseSolution
     rejected: int = 0         # rejected trial steps
 
     @property
@@ -283,7 +285,7 @@ class GeodesicPath:
     @property
     def steps(self) -> int:
         """Accepted integrator steps."""
-        return len(self.ts) - 1 if self.sol is not None else 0
+        return len(self.sol.ts) - 1
 
     @property
     def rhs_evals(self) -> int:
@@ -296,8 +298,6 @@ class GeodesicPath:
         return [(float(t), s[:n], s[n:2 * n]) for t, s in zip(self.ts, self.states)]
 
     def state(self, t: float) -> np.ndarray:
-        if self.sol is None:
-            raise ValueError("path has no dense output")
         return self.sol(t)
 
     def point(self, t: float) -> np.ndarray:
@@ -343,6 +343,23 @@ def _dp_step(rhs: Callable, t: float, y: np.ndarray, f: np.ndarray, h: float,
     return y_new, f_new
 
 
+def _straight(y0: np.ndarray, slope: np.ndarray,
+              t_end: float) -> tuple[np.ndarray, np.ndarray, DenseSolution]:
+    """(ts, states, sol) of the exact path y0 + t slope, for a state no
+    integrator needs to move: nodes 0 and t_end, or 0 alone for t_end = 0;
+    node states bitwise y0 wherever slope is 0; one linear segment that
+    answers every t, the dense output's single node 0.  A non-finite t_end
+    raises ValueError."""
+    if not math.isfinite(t_end):
+        raise ValueError(f"integration horizon not finite: {t_end}")
+    ts = np.array([0.0, t_end]) if t_end != 0.0 else np.zeros(1)
+    states = np.tile(y0, (len(ts), 1))
+    moving = slope != 0.0
+    states[:, moving] += ts[:, None] * slope[moving]
+    line = _Segment(0.0, 1.0, y0, np.column_stack((slope, np.zeros((y0.size, 3)))))
+    return ts, states, DenseSolution(ts[:1], [line])
+
+
 def _integrate(
     rhs: Callable,
     y0: np.ndarray,
@@ -375,7 +392,8 @@ def _integrate(
     Overflow and invalid-operation warnings are suppressed for the whole
     integration, the monitors and their Brent root finds included.
     A negative t_end is integrated forward in s = -t, which takes the same
-    steps as stepping backward in t; t_end = 0 gives the one-node path.
+    steps as stepping backward in t; t_end = 0 gives the one-node path of
+    ``_straight``.
     Returns (ts, ys, sol, termination, term_time, rejected trial steps).
     """
     y = np.asarray(y0, dtype=float)
@@ -384,10 +402,7 @@ def _integrate(
     if not math.isfinite(t_end):
         raise ValueError(f"integration horizon not finite: {t_end}")
     if t_end == 0:
-        ts0 = np.zeros(1)
-        constant = _Segment(0.0, 1.0, y, np.zeros((y.size, 4)))
-        return (ts0, y[None, :], DenseSolution(ts0, [constant]), Termination.REACHED_TMAX,
-                0.0, 0)
+        return (*_straight(y, np.zeros_like(y), 0.0), Termination.REACHED_TMAX, 0.0, 0)
     sign = math.copysign(1.0, t_end)
     if sign < 0:
         forward = rhs
@@ -475,14 +490,13 @@ def _integrate(
 
 
 def geodesic_rhs(model: ManifoldModel) -> Callable:
-    """(x, v)' = (v, -Gamma(x)(v, v)), with the Christoffel callback read once, here.
+    """(x, v)' = (v, -Gamma(x)(v, v)), with Gamma read from ``connection`` once, here.
 
     Gamma v is one 2-D product over the flattened (k, i) rows, bitwise equal
     to the stacked ``Gamma @ v``; ``Gamma.dot(v)`` on the 3-D array itself can
     differ from it in the last bit."""
     n = model.dim
-    christoffel = (model.christoffel if model.christoffel is not None
-                   else partial(christoffel_raw, model))
+    christoffel = connection(model)[0]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         v = y[n:]
@@ -513,11 +527,9 @@ def integrate_geodesic(
     t_end = float(t_max)
     p0, v0 = check_tangent(model, p0, v0)
     y0 = np.concatenate([p0, v0])
-    if t_end == 0.0 or not np.any(v0):
-        # stationary or zero-horizon: trivial path
-        ts = np.array([0.0, t_end]) if t_end != 0.0 else np.array([0.0])
-        states = np.tile(y0, (len(ts), 1))
-        return GeodesicPath(model, ts, states, Termination.REACHED_TMAX, t_end, None)
+    if not np.any(v0):
+        ts, states, sol = _straight(y0, np.zeros_like(y0), t_end)
+        return GeodesicPath(model, ts, states, Termination.REACHED_TMAX, t_end, sol)
     ts, ys, sol, term, t_term, rejected = _integrate(
         geodesic_rhs(model), y0, t_end, cfg.rtol, cfg.atol, cfg.max_steps,
         ray_monitors(model, cfg.blowup_norm))
@@ -528,9 +540,7 @@ def exp(model: ManifoldModel, p, v, cfg: IntegratorConfig | None = None) -> np.n
     """Exponential map: time-1 endpoint of the geodesic with initial data (p, v)."""
     cfg = cfg or IntegratorConfig()
     p, v = check_tangent(model, p, v)
-    if not np.any(v):
-        return p.copy()
-    if cfg.prefer_oracle and model.oracle is not None:
+    if cfg.prefer_oracle and model.oracle is not None and np.any(v):
         return np.asarray(model.oracle.point(p, v, 1.0), dtype=float)
     path = integrate_geodesic(model, p, v, cfg, t_max=1.0)
     if path.termination is not Termination.REACHED_TMAX:

@@ -20,11 +20,11 @@ import numpy as np
 from .errors import DomainEscape, LinearizationFailure
 from .geodesic import (
     GeodesicPath, IntegratorConfig, Monitor, Termination, _brent, _integrate, _NormRecords,
-    ray_monitors,
+    _straight, ray_monitors,
 )
 from .manifold import (
-    ManifoldModel, causal_sign, central_difference, check_tangent,
-    christoffel_deriv_raw, christoffel_raw, embedding_point, orthonormal_frame,
+    ManifoldModel, causal_sign, central_difference, check_tangent, connection,
+    embedding_point, orthonormal_frame,
 )
 
 __all__ = [
@@ -101,16 +101,13 @@ class VariationalPath(GeodesicPath):
 
 def _variational_rhs(model: ManifoldModel):
     """(x, v, J, J')' = (v, -Gv v, J', -dGvv^T J - 2 Gv J') with Gv = Gamma v and
-    dGvv = dGamma v v; the Christoffel callbacks are read once, here.  The
+    dGvv = dGamma v v; Gamma and dGamma are read from ``connection`` once, here.  The
     contractions are 2-D products over flattened leading axes, bitwise equal
     to the stacked ``@`` forms; ``ndarray.dot`` on the 3-D and 4-D arrays
     themselves can differ from them in the last bit."""
     n = model.dim
     nn = n * n
-    christoffel = (model.christoffel if model.christoffel is not None
-                   else partial(christoffel_raw, model))
-    christoffel_deriv = (model.christoffel_deriv if model.christoffel_deriv is not None
-                         else partial(christoffel_deriv_raw, model))
+    christoffel, christoffel_deriv = connection(model)
 
     def rhs(t: float, y: np.ndarray):
         x = y[:n]
@@ -221,11 +218,18 @@ def integrate_variational(
     is an integrated one, and ``witness`` holds the ``norm_records`` (t, norm)
     at each doubling, the last ``gap_ratio`` and the ``blow_up_bound`` T.  A
     monitor zero inside that step still wins.
+
+    At v = 0 the path is the exact x = p, J = t I and J' = I of ``_straight``,
+    ending REACHED_TMAX as ``integrate_geodesic``'s stationary path does.
     """
     cfg = cfg or IntegratorConfig()
     n = model.dim
     p, v = check_tangent(model, p, v)
     y0 = np.concatenate([p, v, np.zeros(n * n), np.eye(n).ravel()])
+    if not np.any(v):
+        slope = np.concatenate([np.zeros(2 * n), np.eye(n).ravel(), np.zeros(n * n)])
+        ts, ys, sol = _straight(y0, slope, t_max)
+        return VariationalPath(model, ts, ys, Termination.REACHED_TMAX, float(t_max), sol)
     monitors = ray_monitors(model, cfg.blowup_norm)
     if singular_tol is not None:
         monitors.append((_conjugate_monitor(n, singular_tol), Termination.CONJUGATE_POINT))
@@ -298,12 +302,10 @@ def dexp_matrix(
     model: ManifoldModel, p, v, cfg: IntegratorConfig | None = None
 ) -> DifferentialFrame:
     """d(exp_p)_v in chart bases: columns are time-1 Jacobi fields J_i, J_i'(0)=e_i.
-    The ray is the identity at v = 0, else the variational J(t)/t or the oracle's."""
+    The ray is the variational J(t)/t, or the oracle's; at v = 0 it is read off
+    the stationary variational path, where J(t)/t is the identity exactly."""
     p, v = check_tangent(model, p, v)
-    n = model.dim
-    if not np.any(v):
-        return DifferentialFrame(np.eye(n), 1.0, p.copy(), _per_sample(lambda t: np.eye(n), n))
-    if cfg is not None and cfg.prefer_oracle and model.oracle is not None:
+    if cfg is not None and cfg.prefer_oracle and model.oracle is not None and np.any(v):
         return _oracle_frame(model, p, v)
     var = integrate_variational(model, p, v, t_max=1.0, cfg=cfg)
     if var.termination is not Termination.REACHED_TMAX:

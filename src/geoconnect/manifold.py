@@ -4,7 +4,8 @@ A model is a single chart (an open box, optionally refined by a smooth
 interior function) together with a metric evaluator.  Christoffel symbols
 come from the model's own evaluator: closed form for the builtins, exact
 symbolic metric derivatives for DSL models.  Central differences of the
-metric are the fallback only for models that supply a bare metric.
+metric are the fallback only for models that supply a bare metric;
+``connection`` is the one place that chooses between the two.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import DegenerateMetric, NotTimelike, OutOfChart
 
 __all__ = [
     "ChartDomain", "ManifoldModel", "Tangent", "ScalarField", "VectorField",
-    "metric_eval", "christoffel_eval", "inner", "causal_class",
+    "metric_eval", "connection", "christoffel_eval", "inner", "causal_class",
     "christoffel_from_metric", "christoffel_deriv_from_metric",
     "auxiliary_riemannian", "embedding_point", "orthonormal_frame",
     "central_difference", "check_tangent", "causal_sign", "DEGENERACY_TOL", "NULL_TOL",
@@ -227,20 +228,6 @@ def fd_christoffel(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
     return christoffel_from_metric(x, g, central_difference(model.metric, x, 1e-5))
 
 
-def christoffel_raw(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """Unvalidated Christoffel evaluation (fast path for integrators)."""
-    if model.christoffel is not None:
-        return np.asarray(model.christoffel(x), dtype=float)
-    return fd_christoffel(model, x)
-
-
-def christoffel_eval(model: ManifoldModel, x) -> np.ndarray:
-    """Validated Christoffel symbols Gamma^k_ij at a chart point."""
-    x = _check_chart(model, x)
-    gamma = christoffel_raw(model, x)
-    return gamma
-
-
 def _metric_stencil(model: ManifoldModel, x: np.ndarray, rel_step: float):
     """(g, dg, ddg) at x from one stencil of 1 + 2 n^2 metric calls, step
     rel_step * max(1, |x_l|): central first differences, central second
@@ -268,15 +255,31 @@ def _metric_stencil(model: ManifoldModel, x: np.ndarray, rel_step: float):
     return g, dg, ddg
 
 
-def christoffel_deriv_raw(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
-    """dGamma[l, k, i, j] = d Gamma^k_ij / d x_l: analytic; else a central
-    difference of Gamma; else, on a metric-only model, the Levi-Civita formula
-    on one finite-difference stencil of the metric."""
-    if model.christoffel_deriv is not None:
-        return np.asarray(model.christoffel_deriv(x), dtype=float)
-    if model.christoffel is not None:
-        return central_difference(lambda y: christoffel_raw(model, y), x, 1e-6)
-    return christoffel_deriv_from_metric(x, *_metric_stencil(model, x, 1e-4))
+def connection(model: ManifoldModel) -> tuple[Callable, Callable]:
+    """(gamma, dgamma), the model's connection at unvalidated chart points:
+    gamma(x)[k, i, j] = Gamma^k_ij and dgamma(x)[l, k, i, j] = d_l Gamma^k_ij.
+
+    Each is the model's own callback where it has one.  Otherwise Gamma
+    comes from ``fd_christoffel``, and dGamma is a central difference of
+    Gamma on a model that gives Gamma alone, or the Levi-Civita formula on
+    one finite-difference stencil of the metric on a metric-only model.
+    The choice is made on each call, from the model's fields then, and the
+    fallback looks ``fd_christoffel`` up when it runs: a copy of a model
+    with other callbacks gets its own."""
+    gamma, dgamma = model.christoffel, model.christoffel_deriv
+    if gamma is None:
+        gamma = lambda x: fd_christoffel(model, x)
+        if dgamma is None:
+            dgamma = lambda x: christoffel_deriv_from_metric(x, *_metric_stencil(model, x, 1e-4))
+    elif dgamma is None:
+        dgamma = lambda x: central_difference(gamma, x, 1e-6)
+    return gamma, dgamma
+
+
+def christoffel_eval(model: ManifoldModel, x) -> np.ndarray:
+    """Validated Christoffel symbols Gamma^k_ij at a chart point."""
+    x = _check_chart(model, x)
+    return np.asarray(connection(model)[0](x), dtype=float)
 
 
 def inner(model: ManifoldModel, x, u, w) -> float:

@@ -101,8 +101,10 @@ def hyperboloid_sweep_family(model: ManifoldModel, p, gnorm: float,
 
     The curve alpha(chi) = c * (cosh(chi) e_s + sinh(chi) e_t) keeps
     |alpha|_g = c while its chart norm grows without bound.  Raises ValueError
-    unless 0 < gnorm < inf.
+    unless the model is indefinite and 0 < gnorm < inf.
     """
+    if 1 not in model.signature or -1 not in model.signature:
+        raise ValueError(f"the hyperboloid sweep needs an indefinite model, not {model.name}")
     if not 0.0 < gnorm < np.inf:
         raise ValueError(f"gnorm must be positive and finite, not {gnorm}")
     if causal not in ("spacelike", "timelike"):
@@ -254,10 +256,13 @@ def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 
     """Bounding box K* of geodesic segments with both endpoints in K.
 
     One seeded run of 2 * sample_count draws; the first row is K* after the
-    first sample_count of them, the second after all."""
+    first sample_count of them, the second after all.  Raises ValueError
+    unless lo < hi in every coordinate of box = (lo, hi)."""
     cfg = cfg or IntegratorConfig()
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
+    if not np.all(lo < hi):
+        raise ValueError(f"box needs lo < hi in every coordinate, not {lo} and {hi}")
     rng = np.random.default_rng(seed)
     bb_lo = lo.copy()
     bb_hi = hi.copy()
@@ -277,8 +282,6 @@ def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 
             except StepSizeUnderflow:
                 continue
             ts = np.linspace(0.0, path.term_time, 400)
-            if path.sol is None:
-                continue
             pts = path.sol(ts)[: model.dim].T
             inside = np.all((pts >= lo) & (pts <= hi), axis=1)
             returns = np.flatnonzero(inside[1:])
@@ -321,7 +324,7 @@ def convex_check(model: ManifoldModel, f: ScalarField, samples: Sequence[Tangent
         except StepSizeUnderflow:
             rows.append({"sample": k, "status": "integration_failed"})
             continue
-        if path.termination is not Termination.REACHED_TMAX or path.sol is None:
+        if path.termination is not Termination.REACHED_TMAX:
             rows.append({"sample": k, "status": f"escape:{path.termination.value}"})
             continue
         ts = np.arange(a, b + 0.5 * step, step)
@@ -374,13 +377,17 @@ def gauss_lemma_check(model: ManifoldModel, p, r_values: Sequence[float],
 
     d_r comes from the geodesic velocity, d_s from the matrix Jacobi
     solution applied to the turning direction (Riemannian models only).
+    Raises ValueError unless r_values is non-empty, finite and positive: the
+    rays are integrated on (0, max r_values] only.
     """
     if not model.is_riemannian:
         raise ValueError("gauss_lemma_check requires a Riemannian model")
+    r_values = np.asarray(r_values, dtype=float)
+    if not (r_values.size and np.all(np.isfinite(r_values)) and np.all(r_values > 0.0)):
+        raise ValueError(f"radii must be non-empty, finite and positive, not {r_values}")
     cfg = cfg or IntegratorConfig()
     p = np.asarray(p, dtype=float)
     E, _ = orthonormal_frame(model, p)
-    r_values = np.asarray(r_values, dtype=float)
     r_max = float(r_values.max())
     ws = _sweep_directions(E, direction_count, 0.37)
     # the same sweep of the frame turned a quarter turn: w' is w rotated by pi/2

@@ -17,7 +17,7 @@ from geoconnect import (
     ConfigError, ConnectConfig, christoffel_eval, dsl, integrate_geodesic, metric_eval,
     model_from_config_text, model_registry,
 )
-from geoconnect.manifold import christoffel_deriv_raw, fd_christoffel
+from geoconnect.manifold import connection, fd_christoffel
 from geoconnect.cli import main
 
 
@@ -100,7 +100,7 @@ def test_dsl_off_diagonal_connection_matches_fd():
             dgamma[l] = (model.christoffel(xp) - model.christoffel(xm)) / (2 * h)
         assert np.allclose(model.christoffel_deriv(x), dgamma, atol=1e-7)
         # the builtin's one-stencil finite-difference dGamma matches the exact one
-        assert np.allclose(christoffel_deriv_raw(builtin, x), model.christoffel_deriv(x),
+        assert np.allclose(connection(builtin)[1](x), model.christoffel_deriv(x),
                            atol=1e-7)
 
 
@@ -191,6 +191,15 @@ def test_cli_shoot_negative_samples_is_a_usage_error(capsys):
     nodes = capsys.readouterr().out
     assert main([*argv, "--samples", "0"]) == 0
     assert capsys.readouterr().out == nodes and len(nodes.splitlines()) > 3
+
+
+def test_cli_shoot_samples_a_stationary_path(capsys):
+    rc = main(["shoot", "--model", "sphere2", "--from", "1,0.3", "--vel", "0,0",
+               "--samples", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [[float(c) for c in l.split(",")] for l in lines] == [
+        [0.0, 1.0, 0.3, 0.0, 0.0], [0.5, 1.0, 0.3, 0.0, 0.0], [1.0, 1.0, 0.3, 0.0, 0.0]]
 
 
 def test_cli_conj_locus_zero_horizon(capsys):
@@ -354,6 +363,20 @@ def test_cli_gauss_on_an_indefinite_model_is_a_usage_error(capsys):
     assert captured.out == ""
     assert captured.err == ("geoconnect: error: argument --kind: gauss needs a Riemannian "
                             "model, not desitter(2)\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--model", "sphere2", "--kind", "gauss", "--point", "1,0.3", "--tmax", "-1"], "--tmax"),
+    (["--model", "sphere2", "--kind", "gauss", "--point", "1,0.3", "--tmax", "0"], "--tmax"),
+    (["--model", "sphere2", "--kind", "weakproper", "--family", "hyperboloid",
+      "--point", "1,0.3"], "--family"),
+    (["--model", "euclidean", "--dim", "2", "--kind", "pseudoconvex",
+      "--box", "1,1;0.5,0.5"], "--box"),
+])
+def test_cli_probe_input_the_probe_cannot_take_is_a_usage_error(argv, flag, capsys):
+    assert main(["probe", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"geoconnect: error: argument {flag}")
 
 
 def test_cli_conj_locus_csv(capsys):

@@ -22,7 +22,7 @@ from geoconnect.errors import LinearizationFailure, OutOfChart
 from geoconnect.jacobi import (
     DifferentialFrame, _wrap_delta, _wrap_near, dexp_matrix, normalize_direction,
 )
-from geoconnect.manifold import christoffel_deriv_raw, christoffel_raw, embedding_point
+from geoconnect.manifold import connection, embedding_point
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -166,8 +166,9 @@ def test_local_log_converges_where_its_corrections_shrink():
 def _series_terms(model, p, delta):
     """The chart difference and the second- and third-order terms of exp_p's
     inverse series, by einsum on the documented index layouts."""
-    G = christoffel_raw(model, p)           # G[k, i, j] = Gamma^k_ij
-    dG = christoffel_deriv_raw(model, p)    # dG[l, k, i, j] = d_l Gamma^k_ij
+    gamma, dgamma = connection(model)
+    G = gamma(p)            # G[k, i, j] = Gamma^k_ij
+    dG = dgamma(p)          # dG[l, k, i, j] = d_l Gamma^k_ij
     gdd = np.einsum("kij,i,j->k", G, delta, delta)
     third = (np.einsum("kij,i,j->k", G, delta, gdd)
              + np.einsum("lkij,l,i,j->k", dG, delta, delta, delta)) / 6.0
@@ -204,7 +205,7 @@ def test_series_seed_is_the_chart_difference_where_gamma_vanishes_at_p():
     dGamma is not, so the second-order term is 0 and the third, not shorter
     than 0, is dropped.  Both keep the chart difference bitwise."""
     d = model_registry("desitter", n=2)
-    assert np.abs(christoffel_deriv_raw(d, np.zeros(2))).max() == 1.0
+    assert np.abs(connection(d)[1](np.zeros(2))).max() == 1.0
     for m, p in [(model_registry("euclidean", n=2), np.array([0.3, -1.0])), (d, np.zeros(2))]:
         delta = np.array([0.7, -0.4])
         assert np.array_equal(_series_seed(m, p, delta), delta)

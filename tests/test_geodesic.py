@@ -39,12 +39,18 @@ def test_minkowski_exp_is_affine():
 
 
 def test_zero_velocity_stays_put():
+    """exp(p, 0) is the stationary path's last node: p to the last bit, a
+    signed zero included, with or without the oracle."""
     s = model_registry("sphere2")
     p = np.array([1.0, 0.5])
     path = integrate_geodesic(s, p, np.zeros(2), t_max=3.0)
     assert path.termination is Termination.REACHED_TMAX
     assert np.array_equal(path.endpoint, p)
     assert np.array_equal(exp(s, p, np.zeros(2)), p)
+    for model, q in [(model_registry("euclidean", n=2), np.array([-0.0, 1.5])),
+                     (s, np.array([1.0, -0.0]))]:
+        for cfg in (IntegratorConfig(), IntegratorConfig(prefer_oracle=True)):
+            assert exp(model, q, np.zeros(2), cfg).tobytes() == q.tobytes()
 
 
 def test_chart_exit_is_event_located():
@@ -403,6 +409,19 @@ def test_zero_velocity_path_spans_its_horizon():
         assert (path.steps, path.rhs_evals) == (0, 0)
 
 
+def test_stationary_path_has_dense_output():
+    """A zero-velocity path answers every t from its dense output without a
+    step: the point stays p and the velocity 0."""
+    s = model_registry("sphere2")
+    path = integrate_geodesic(s, (1.0, 0.3), (0.0, 0.0), t_max=2.0)
+    assert np.array_equal(path.point(0.5), [1.0, 0.3])
+    assert np.array_equal(path.velocity(0.5), [0.0, 0.0])
+    assert np.array_equal(path.state(2.0), [1.0, 0.3, 0.0, 0.0])
+    assert np.array_equal(path.sol(np.linspace(0.0, 2.0, 5)), [[1.0] * 5, [0.3] * 5,
+                                                              [0.0] * 5, [0.0] * 5])
+    assert path.sol.ts.tolist() == [0.0] and path.steps == 0
+
+
 def test_integrator_config_with():
     cfg = IntegratorConfig()
     cfg2 = cfg.with_(rtol=1e-6)
@@ -466,7 +485,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def test_rhs_contractions_are_bitwise_the_stacked_matmuls(name, kw):
     """Both right-hand sides equal the stacked ``@`` formulas to the last bit:
     the flattened 2-D products must hold on whatever BLAS runs the tests."""
-    from geoconnect.manifold import christoffel_deriv_raw, christoffel_raw
+    from geoconnect.manifold import connection
 
     if name == "halfplane_dsl":
         model = geoconnect.model_from_config_text(
@@ -477,11 +496,12 @@ def test_rhs_contractions_are_bitwise_the_stacked_matmuls(name, kw):
     n = model.dim
     rng = np.random.default_rng([n, len(name)])
     geo, var = geodesic.geodesic_rhs(model), jacobi._variational_rhs(model)
+    gamma, dgamma = connection(model)
     for x in _chart_points(model, rng, 200):
         v = rng.normal(size=n)
         J, K = rng.normal(size=(2, n, n))
-        G = christoffel_raw(model, x)
-        dG = christoffel_deriv_raw(model, x)
+        G = np.asarray(gamma(x), dtype=float)
+        dG = np.asarray(dgamma(x), dtype=float)
         assert _same_bits(geo(0.0, np.concatenate([x, v])),
                           np.concatenate([v, -(G @ v) @ v]))
         Gv = G @ v

@@ -27,11 +27,31 @@ def _fd_dexp(model, p, v, h=1e-5):
 
 
 def test_dexp_identity_at_zero():
+    """The frame at v = 0 reads the stationary variational path, with or
+    without the oracle: the identity, its singular value 1, p and an
+    identity ray, exactly."""
     for name in ["euclidean", "sphere2", "desitter"]:
         model = model_registry(name)
         p = np.full(model.dim, 0.7) if name != "sphere2" else np.array([1.0, 0.0])
-        frame = dexp_matrix(model, p, np.zeros(model.dim))
-        assert np.allclose(frame.matrix, np.eye(model.dim), atol=1e-12)
+        eye = np.eye(model.dim)
+        for cfg in (None, IntegratorConfig(prefer_oracle=True)):
+            frame = dexp_matrix(model, p, np.zeros(model.dim), cfg)
+            assert np.array_equal(frame.matrix, eye) and frame.min_singular_value == 1.0
+            assert np.array_equal(frame.endpoint, p)
+            assert np.array_equal(frame.ray(np.linspace(0.1, 1.0, 4)), [eye] * 4)
+
+
+def test_zero_velocity_variational_path_is_exact():
+    """At v = 0 the variational path is x = p, J = t I and J' = I exactly,
+    without a step."""
+    s = model_registry("sphere2")
+    var = integrate_variational(s, (1.0, 0.3), (0.0, 0.0), t_max=2.0)
+    assert var.termination is Termination.REACHED_TMAX and var.term_time == 2.0
+    assert (var.steps, var.rejected, var.rhs_evals) == (0, 0, 0)
+    assert np.array_equal(var.split(2.0)[2], 2.0 * np.eye(2))
+    assert np.array_equal(var.states, [[1.0, 0.3, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1],
+                                       [1.0, 0.3, 0, 0, 2, 0, 0, 2, 1, 0, 0, 1]])
+    assert np.array_equal(var.dexp_at(np.array([0.25, 1.0, 1.7])), [np.eye(2)] * 3)
 
 
 @pytest.mark.parametrize("name,p", [

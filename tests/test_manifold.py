@@ -11,9 +11,7 @@ from geoconnect import (
     christoffel_eval, dexp_matrix, inner, integrate_geodesic, integrate_variational, manifold,
     metric_eval, model_from_config_text, model_registry, orthonormal_frame,
 )
-from geoconnect.manifold import (
-    christoffel_deriv_raw, embedding_point, fd_christoffel,
-)
+from geoconnect.manifold import connection, embedding_point, fd_christoffel
 from geoconnect.models import BUILTIN_MODELS
 
 
@@ -71,7 +69,7 @@ def test_vanishing_sine_squared_is_a_degenerate_metric(name, n, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateMetric):
-            christoffel_deriv_raw(model, x)
+            connection(model)[1](x)
         with pytest.raises(DegenerateMetric):
             dexp_matrix(model, x, np.full(model.dim, 0.1))
 
@@ -105,7 +103,7 @@ def test_analytic_christoffel_derivs_match_fd(name):
     rng = np.random.default_rng(5)
     for _ in range(8):
         x = _interior_point(model, rng)
-        analytic = christoffel_deriv_raw(model, x)
+        analytic = connection(model)[1](x)
         n = model.dim
         fd = np.empty_like(analytic)
         for l in range(n):
@@ -117,18 +115,47 @@ def test_analytic_christoffel_derivs_match_fd(name):
 
 
 def test_christoffel_deriv_of_a_gamma_only_model_is_a_central_difference():
-    """Without an analytic dGamma, christoffel_deriv_raw differences the
-    analytic Gamma; dexp built on it matches the analytic one."""
+    """Without an analytic dGamma, ``connection`` differences the analytic
+    Gamma; dexp built on it matches the analytic one."""
     h = model_registry("hyperbolic2")
     bare = dataclasses.replace(h, christoffel_deriv=None)
     for x in ([0.2, 1.0], [-0.7, 0.5], [1.3, 2.0], [0.0, 0.3]):
         x = np.array(x)
-        analytic = christoffel_deriv_raw(h, x)
-        error = np.abs(christoffel_deriv_raw(bare, x) - analytic).max()
+        analytic = connection(h)[1](x)
+        error = np.abs(connection(bare)[1](x) - analytic).max()
         assert error <= 1e-9 * np.abs(analytic).max()
     p, v = np.array([0.2, 1.0]), np.array([0.7, -0.4])
     assert np.allclose(dexp_matrix(bare, p, v).matrix, dexp_matrix(h, p, v).matrix,
                        rtol=0.0, atol=1e-10)
+
+
+def test_connection_reads_the_callbacks_of_the_model_it_is_given(monkeypatch):
+    """A copy of a metric-only model with another metric, as the traced
+    benchmark builds one, gets Gamma and dGamma from that metric; Gamma looks
+    ``fd_christoffel`` up in the module when it runs."""
+    base = model_registry("paraboloid")
+    assert base.christoffel is None and base.christoffel_deriv is None
+    calls = []
+
+    def counting_metric(x):
+        calls.append(x)
+        return base.metric(x)
+
+    gamma, dgamma = connection(dataclasses.replace(base, metric=counting_metric))
+    x = np.array([0.4, -0.6])
+    gamma(x)
+    assert len(calls) == 1 + 2 * 2          # g and a central difference per axis
+    dgamma(x)
+    assert len(calls) == 5 + 1 + 2 * 2 * 2  # one stencil of 1 + 2 n^2 metric calls
+    seen = []
+
+    def traced_fd_christoffel(model, y):
+        seen.append(model)
+        return fd_christoffel(model, y)
+
+    monkeypatch.setattr(manifold, "fd_christoffel", traced_fd_christoffel)
+    gamma(x)
+    assert len(seen) == 1 and seen[0].metric is counting_metric
 
 
 def test_causal_class_minkowski():

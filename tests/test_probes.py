@@ -67,6 +67,11 @@ def test_hyperboloid_sweep_rejects_a_gnorm_that_is_not_positive_and_finite(gnorm
         hyperboloid_sweep_family(d, np.array([0.1, 0.2]), gnorm=gnorm)
 
 
+def test_hyperboloid_sweep_needs_an_indefinite_model():
+    with pytest.raises(ValueError, match="sphere2"):
+        hyperboloid_sweep_family(model_registry("sphere2"), np.array([1.0, 0.3]), gnorm=1.0)
+
+
 def test_polyline_family_shape():
     fam = polyline_family([[1.0, 0.0], [1.0, 2.0]], name="w")
     curve = fam.curves[0]
@@ -160,6 +165,13 @@ def test_pseudoconvexity_draws_each_sample_once(monkeypatch):
     assert full["rows"][0] == half["rows"][1]
 
 
+@pytest.mark.parametrize("hi", [[0.5, 0.5], [1.0, 1.0], [2.0, 1.0]])
+def test_pseudoconvexity_box_needs_lo_below_hi(hi):
+    e = model_registry("euclidean", n=2)
+    with pytest.raises(ValueError, match="lo < hi"):
+        pseudoconvexity_probe(e, (np.array([1.0, 1.0]), np.array(hi)), sample_count=4)
+
+
 def test_pseudoconvexity_report_fields():
     s = model_registry("sphere2")
     rep = pseudoconvexity_probe(s, (np.array([1.0, -0.5]), np.array([2.0, 0.5])),
@@ -207,6 +219,17 @@ def test_convex_check_reports_escapes():
     assert rep["verdict"] == "fail"  # no successful rows cannot certify
 
 
+def test_convex_check_takes_a_zero_velocity_sample_as_a_constant_geodesic():
+    """A constant geodesic never escapes: f is constant along it, so the
+    sample passes both checks."""
+    e = model_registry("euclidean", n=2)
+    f = ScalarField(lambda x: float(x @ x), "normsq")
+    rep = convex_check(e, f, [Tangent.of([0.3, -0.2], [0.0, 0.0])])
+    row = rep["rows"][0]
+    assert row["status"] == "ok" and row["min_second_difference"] == 0.0
+    assert rep["verdict"] == "pass"
+
+
 def test_gauss_lemma_holds_on_riemannian_models():
     for name, p, rmax in [("sphere2", np.array([1.4, 0.3]), 1.2),
                           ("hyperbolic2", np.array([0.0, 1.0]), 1.5),
@@ -217,6 +240,17 @@ def test_gauss_lemma_holds_on_riemannian_models():
         assert rep["verdict"] == "pass", name
         assert rep["max_radial_deviation"] < 1e-6
         assert rep["max_orthogonality_deviation"] < 1e-6
+
+
+@pytest.mark.parametrize("r_values", [[-0.5, 1.0], [0.0, 1.0], [], [np.nan, 1.0],
+                                      [1.0, np.inf]])
+def test_gauss_lemma_rejects_radii_outside_the_integrated_range(r_values):
+    """The rays are integrated on (0, max r] only: a radius that is not
+    positive and finite would read the dense output outside it."""
+    s = model_registry("sphere2")
+    with pytest.raises(ValueError, match="radii"):
+        gauss_lemma_check(s, (1.0, 0.3), r_values, direction_count=4)
+    assert gauss_lemma_check(s, (1.0, 0.3), [0.5, 1.0], direction_count=4)["verdict"] == "pass"
 
 
 def test_gauss_lemma_rejects_indefinite_model():
