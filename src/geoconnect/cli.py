@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -112,7 +113,7 @@ def _resolve_model(args) -> ManifoldModel:
 def _integrator(args, cfg: IntegratorConfig | None = None) -> IntegratorConfig:
     cfg = cfg or IntegratorConfig()
     if getattr(args, "rtol", None) is not None:
-        cfg = cfg.with_(rtol=args.rtol, atol=args.rtol * 1e-2)
+        cfg = replace(cfg, rtol=args.rtol, atol=args.rtol * 1e-2)
     return cfg
 
 

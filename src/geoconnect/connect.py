@@ -11,11 +11,11 @@ of exp_p plus a Newton corrector.  Failures are typed, never raised: a singular 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .errors import DomainEscape, LinearizationFailure, NoConvergence, OutOfChart, StepSizeUnderflow
+from .errors import DomainEscape, LinearizationFailure, NoConvergence, StepSizeUnderflow
 from .geodesic import IntegratorConfig, _NormRecords, exp
 from .jacobi import (
     ConjugateLocusSample, DifferentialFrame, _wrap_delta, _wrap_near, component_of_point,
@@ -47,7 +47,7 @@ RAY_SAMPLES = 32          # dexp samples along the fast path's ray
 
 @dataclass(frozen=True)
 class ConnectConfig:
-    connect_tol: float = 1e-6
+    connect_tol: ClassVar[float] = 1e-6   # largest |exp_p(v) - q| a Connected lift may leave
     integrator: IntegratorConfig = field(
         # step cap keeps runaway correction geodesics from stalling the lift;
         # the final residual is re-checked against connect_tol regardless
@@ -70,8 +70,8 @@ class LiftOutcome:
 def _coarse(integrator: IntegratorConfig) -> IntegratorConfig:
     """The integrator Newton steers with while it is far from the root; an
     oracle config keeps its oracle frames."""
-    return integrator.with_(rtol=max(integrator.rtol, 1e-6),
-                            atol=max(integrator.atol, 1e-8))
+    return replace(integrator, rtol=max(integrator.rtol, 1e-6),
+                   atol=max(integrator.atol, 1e-8))
 
 
 def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarray,
@@ -389,15 +389,11 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
 
     A ConjugateHit means the segment's lift reached a singular frame; it
     does not show that q is unreachable, since another target path may
-    avoid that frame.  OutOfChart if p is not a point inside the chart, or
-    q is not a finite point with dim coordinates."""
+    avoid that frame.  OutOfChart unless p and q are points inside the
+    chart."""
     cfg = cfg or ConnectConfig()
     p = _check_chart(model, p)
-    q = np.array(q, dtype=float)
-    if q.shape != p.shape:
-        raise OutOfChart(q, f"target point needs {model.dim} coordinates")
-    if not np.isfinite(q).all():
-        raise OutOfChart(q, "target point not finite")
+    q = _check_chart(model, np.array(q, dtype=float))   # a copy: _wrap_near writes in place
     # periodic chart coordinates: lift to the representative nearest p, else
     # the target path may force the lift around a chart seam with no
     # continuous preimage

@@ -12,9 +12,9 @@ underflow at the chart's edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +86,23 @@ class _Segment:
         return y + (self.y_old if y.ndim == 1 else self.y_old[:, None])
 
 
+class _Line:
+    """The exact line y_old + t slope, for every finite t: the one segment of
+    a stationary path's dense output."""
+
+    __slots__ = ("y_old", "slope")
+
+    def __init__(self, y_old: np.ndarray, slope: np.ndarray):
+        self.y_old = y_old
+        self.slope = slope
+
+    def __call__(self, t):
+        """State at a scalar t, shape (n,), or at a 1-D array of k times, (n, k)."""
+        # + 0.0 turns a -0.0 product into +0.0, as a sum with zero terms does
+        y = np.multiply.outer(self.slope, t) + 0.0
+        return y + (self.y_old if y.ndim == 1 else self.y_old[:, None])
+
+
 class DenseSolution:
     """Continuous solution from the per-step interpolants of an integration.
 
@@ -97,7 +114,8 @@ class DenseSolution:
     (sign -1) stepped in s = -t, and its interpolants take s.
     """
 
-    def __init__(self, ts: np.ndarray, segments: list[_Segment], sign: float = 1.0):
+    def __init__(self, ts: np.ndarray, segments: list[_Segment] | list[_Line],
+                 sign: float = 1.0):
         self.ts = ts
         self.segments = segments
         self.sign = sign
@@ -245,7 +263,7 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 10**6
-    blowup_norm: float = 1e8
+    blowup_norm: ClassVar[float] = 1e8   # |(x, v)|_inf that ends a ray with BLOW_UP
     prefer_oracle: bool = False
 
     def __post_init__(self):
@@ -254,9 +272,6 @@ class IntegratorConfig:
             raise ValueError(f"rtol must be finite and non-negative, got {self.rtol}")
         if not (math.isfinite(self.atol) and self.atol > 0.0):
             raise ValueError(f"atol must be finite and positive, got {self.atol}")
-
-    def with_(self, **kw) -> "IntegratorConfig":
-        return replace(self, **kw)
 
 
 @dataclass
@@ -347,8 +362,8 @@ def _straight(y0: np.ndarray, slope: np.ndarray,
               t_end: float) -> tuple[np.ndarray, np.ndarray, DenseSolution]:
     """(ts, states, sol) of the exact path y0 + t slope, for a state no
     integrator needs to move: nodes 0 and t_end, or 0 alone for t_end = 0;
-    node states bitwise y0 wherever slope is 0; one linear segment that
-    answers every t, the dense output's single node 0.  A non-finite t_end
+    node states bitwise y0 wherever slope is 0; one ``_Line`` that answers
+    every finite t, the dense output's single node 0.  A non-finite t_end
     raises ValueError."""
     if not math.isfinite(t_end):
         raise ValueError(f"integration horizon not finite: {t_end}")
@@ -356,8 +371,7 @@ def _straight(y0: np.ndarray, slope: np.ndarray,
     states = np.tile(y0, (len(ts), 1))
     moving = slope != 0.0
     states[:, moving] += ts[:, None] * slope[moving]
-    line = _Segment(0.0, 1.0, y0, np.column_stack((slope, np.zeros((y0.size, 3)))))
-    return ts, states, DenseSolution(ts[:1], [line])
+    return ts, states, DenseSolution(ts[:1], [_Line(y0, slope)])
 
 
 def _integrate(
@@ -506,10 +520,12 @@ def geodesic_rhs(model: ManifoldModel) -> Callable:
     return rhs
 
 
-def ray_monitors(model: ManifoldModel, blowup_norm: float) -> list[tuple[Monitor, Termination]]:
+def ray_monitors(model: ManifoldModel) -> list[tuple[Monitor, Termination]]:
     """The monitors that end every ray integration: the chart margin (none for
-    full-R^n charts), then blow-up, |(x, v)|_inf reaching ``blowup_norm``."""
+    full-R^n charts), then blow-up, |(x, v)|_inf reaching
+    ``IntegratorConfig.blowup_norm``."""
     n = model.dim
+    blowup_norm = IntegratorConfig.blowup_norm
     blow_up = (lambda t, y: blowup_norm - float(np.abs(y[:2 * n]).max()), Termination.BLOW_UP)
     if model.domain.is_trivial:
         return [blow_up]
@@ -532,7 +548,7 @@ def integrate_geodesic(
         return GeodesicPath(model, ts, states, Termination.REACHED_TMAX, t_end, sol)
     ts, ys, sol, term, t_term, rejected = _integrate(
         geodesic_rhs(model), y0, t_end, cfg.rtol, cfg.atol, cfg.max_steps,
-        ray_monitors(model, cfg.blowup_norm))
+        ray_monitors(model))
     return GeodesicPath(model, ts, ys, term, t_term, sol, rejected)
 
 

@@ -210,14 +210,14 @@ def integrate_variational(
     at the located zero of the chart margin, or at the last accepted state
     when the steps underflow within the integrator's error scale of the chart
     edge (J' diverges there on the polar chart); BlowUp where |(x, v)|_inf
-    reaches ``cfg.blowup_norm``.  J and J' are not bounded: near a chart edge
-    they may grow without limit along a complete geodesic.  The growth law
-    of the chart position |x|_inf ends it BlowUp earlier, at the accepted
-    step where the blow-up time estimated from the times of its doublings
-    settles (``_BlowUpWatch``): then ``term_time`` is ``ts[-1]``, every state
-    is an integrated one, and ``witness`` holds the ``norm_records`` (t, norm)
-    at each doubling, the last ``gap_ratio`` and the ``blow_up_bound`` T.  A
-    monitor zero inside that step still wins.
+    reaches ``IntegratorConfig.blowup_norm``.  J and J' are not bounded: near
+    a chart edge they may grow without limit along a complete geodesic.  The
+    growth law of the chart position |x|_inf ends it BlowUp earlier, at the
+    accepted step where the blow-up time estimated from the times of its
+    doublings settles (``_BlowUpWatch``): then ``term_time`` is ``ts[-1]``,
+    every state is an integrated one, and ``witness`` holds the
+    ``norm_records`` (t, norm) at each doubling, the last ``gap_ratio`` and
+    the ``blow_up_bound`` T.  A monitor zero inside that step still wins.
 
     At v = 0 the path is the exact x = p, J = t I and J' = I of ``_straight``,
     ending REACHED_TMAX as ``integrate_geodesic``'s stationary path does.
@@ -230,7 +230,7 @@ def integrate_variational(
         slope = np.concatenate([np.zeros(2 * n), np.eye(n).ravel(), np.zeros(n * n)])
         ts, ys, sol = _straight(y0, slope, t_max)
         return VariationalPath(model, ts, ys, Termination.REACHED_TMAX, float(t_max), sol)
-    monitors = ray_monitors(model, cfg.blowup_norm)
+    monitors = ray_monitors(model)
     if singular_tol is not None:
         monitors.append((_conjugate_monitor(n, singular_tol), Termination.CONJUGATE_POINT))
     watch = _BlowUpWatch(n, p, t_max)
@@ -360,9 +360,9 @@ def first_conjugate_time(
     (see ``integrate_variational``); a blow-up read off the position's growth
     law carries its ``witness``.  A ray that passes near a chart edge without
     reaching it is scanned through while its chart velocity stays below
-    ``cfg.blowup_norm``: a great circle grazing the polar chart's pole at
-    1e-8 is, one at 1e-9 ends BlowUp.  For t_max <= 0 the interval is empty
-    and the answer is None, without integrating.
+    ``IntegratorConfig.blowup_norm``: a great circle grazing the polar
+    chart's pole at 1e-8 is, one at 1e-9 ends BlowUp.  For t_max <= 0 the
+    interval is empty and the answer is None, without integrating.
     """
     if t_max <= 0.0:
         check_tangent(model, p, u)

@@ -69,9 +69,9 @@ class ChartDomain:
             m = min(m, float(self.interior_fn(x)))
         return m
 
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)   # a non-finite coordinate is never inside
-        return bool(np.isfinite(x).all()) and self.margin(x) > margin
+        return bool(np.isfinite(x).all()) and self.margin(x) > 0.0
 
     @property
     def is_trivial(self) -> bool:
@@ -139,10 +139,14 @@ class VectorField:
 
 
 def _check_chart(model: ManifoldModel, x: np.ndarray) -> np.ndarray:
+    """x as a float array.  Raises OutOfChart unless x is a finite point with
+    dim coordinates inside the chart."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.dim,):
         raise OutOfChart(x, f"expected {model.dim} coordinates")
-    if not model.domain.contains(x):
+    if not np.isfinite(x).all():
+        raise OutOfChart(x, "point not finite")
+    if not model.domain.margin(x) > 0.0:
         raise OutOfChart(x)
     return x
 

@@ -7,8 +7,8 @@ report says so explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -33,15 +33,14 @@ SPIRAL_SAMPLES = 80     # schedule points per spiral
 SWEEP_SAMPLES = 60      # schedule points per hyperboloid sweep
 CONVEX_INTERVAL = (0.0, 1.0)   # geodesic parameter range convex_check samples
 CONVEX_STEP = 1e-3             # its second-difference step
+NORM_CAP = 1e3          # default tangent norm at which an escaping curve stops
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    norm_cap: float = 1e3
-    cauchy_tol: float = 1e-6
-    integrator: IntegratorConfig = field(
-        default_factory=lambda: IntegratorConfig(prefer_oracle=True)
-    )
+    norm_cap: float = NORM_CAP
+    cauchy_tol: ClassVar[float] = 1e-6   # tail spread below which images converge
+    integrator: ClassVar[IntegratorConfig] = IntegratorConfig(prefer_oracle=True)
 
 
 @dataclass
@@ -62,11 +61,11 @@ class ProbeVerdict:
     rows: list[dict]
     summary: str                     # ConsistentWithWeakProperness | Violation
     witness_curve: Optional[str] = None
-    caveat: str = SAMPLED_EVIDENCE
+    caveat: ClassVar[str] = SAMPLED_EVIDENCE
 
 
 def radial_ray_family(model: ManifoldModel, p, count: int = 16,
-                      norm_cap: float = 1e3) -> ProbeCurveFamily:
+                      norm_cap: float = NORM_CAP) -> ProbeCurveFamily:
     """Rays t -> t*u escaping to the norm cap."""
     E, _ = orthonormal_frame(model, p)
     us = (_sweep_directions(E, count, 0.5) if model.dim == 2
@@ -78,7 +77,7 @@ def radial_ray_family(model: ManifoldModel, p, count: int = 16,
 
 
 def spiral_family(model: ManifoldModel, p, count: int = 8,
-                  norm_cap: float = 1e3) -> ProbeCurveFamily:
+                  norm_cap: float = NORM_CAP) -> ProbeCurveFamily:
     """Slowly rotating escaping spirals (surfaces only)."""
     E, _ = orthonormal_frame(model, p)
     schedule = np.geomspace(1e-2, 1.05 * norm_cap, SPIRAL_SAMPLES)
@@ -96,7 +95,7 @@ def spiral_family(model: ManifoldModel, p, count: int = 8,
 
 def hyperboloid_sweep_family(model: ManifoldModel, p, gnorm: float,
                              causal: str = "spacelike",
-                             norm_cap: float = 1e3) -> ProbeCurveFamily:
+                             norm_cap: float = NORM_CAP) -> ProbeCurveFamily:
     """Constant-g-norm sweep over boosted directions (indefinite models).
 
     The curve alpha(chi) = c * (cosh(chi) e_s + sinh(chi) e_t) keeps
@@ -378,13 +377,17 @@ def gauss_lemma_check(model: ManifoldModel, p, r_values: Sequence[float],
     d_r comes from the geodesic velocity, d_s from the matrix Jacobi
     solution applied to the turning direction (Riemannian models only).
     Raises ValueError unless r_values is non-empty, finite and positive: the
-    rays are integrated on (0, max r_values] only.
+    rays are integrated on (0, max r_values] only; and unless direction_count
+    is at least 1.  It passes only with at least one evaluated (direction,
+    radius) pair, an ``ok`` row, and every such pair within tol.
     """
     if not model.is_riemannian:
         raise ValueError("gauss_lemma_check requires a Riemannian model")
     r_values = np.asarray(r_values, dtype=float)
     if not (r_values.size and np.all(np.isfinite(r_values)) and np.all(r_values > 0.0)):
         raise ValueError(f"radii must be non-empty, finite and positive, not {r_values}")
+    if direction_count < 1:
+        raise ValueError(f"direction_count must be at least 1, not {direction_count}")
     cfg = cfg or IntegratorConfig()
     p = np.asarray(p, dtype=float)
     E, _ = orthonormal_frame(model, p)
@@ -417,7 +420,8 @@ def gauss_lemma_check(model: ManifoldModel, p, r_values: Sequence[float],
                 "direction": j, "r": float(r), "status": "ok",
                 "radial_norm2": radial, "radial_cross": ortho,
             })
-    passed = worst_radial <= tol and worst_ortho <= tol
+    passed = (any(r["status"] == "ok" for r in rows)
+              and worst_radial <= tol and worst_ortho <= tol)
     return {
         "kind": "gauss",
         "model": model.name,

@@ -228,7 +228,7 @@ def _dexp_sample(model, rng):
     vmax = 0.3 if model.name == "clifton_pohl" else 0.6
     while True:
         p = rng.uniform(lo, hi)
-        if not model.domain.contains(p, margin=0.2):
+        if not model.domain.margin(p) > 0.2:
             continue
         v = rng.uniform(-vmax, vmax, model.dim)
         return p, v

@@ -262,6 +262,14 @@ def test_cli_connect_non_finite_target(capsys):
     assert "not finite" in captured.err
 
 
+def test_cli_connect_target_outside_the_chart(capsys):
+    rc = main(["connect", "--model", "hyperbolic2", "--from", "0,1", "--to", "0,-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "outside chart" in captured.err
+
+
 def test_cli_connect_target_of_the_wrong_length(capsys):
     rc = main(["connect", "--model", "sphere2", "--from", "1,0.3", "--to", "1,2,3"])
     assert rc == 2
@@ -282,7 +290,7 @@ def test_cli_connect_rtol_keeps_step_cap(monkeypatch, capsys):
                "--to", "1.3,0.2", "--rtol", "1e-7"])
     assert rc == 0
     expected = replace(ConnectConfig(),
-                       integrator=ConnectConfig().integrator.with_(rtol=1e-7, atol=1e-7 * 1e-2))
+                       integrator=replace(ConnectConfig().integrator, rtol=1e-7, atol=1e-7 * 1e-2))
     assert seen["cfg"] == expected
 
 
@@ -355,6 +363,19 @@ def test_cli_gnorm_must_be_positive_and_finite(gnorm, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument --gnorm" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_gauss_with_no_evaluated_pair_fails(tmp_path, capsys):
+    """Every ray leaves a small box before its first radius: no (direction,
+    radius) pair is evaluated, so there is no evidence for a pass."""
+    box = tmp_path / "box.ini"
+    box.write_text("[manifold]\ntype = dsl\ndim = 2\ng_1_1 = 1\ng_2_2 = 1\n"
+                   "lower = -0.1, -0.1\nupper = 0.1, 0.1\n")
+    rc = main(["probe", "--config", str(box), "--kind", "gauss", "--point", "0,0",
+               "--tmax", "10"])
+    out = json.loads(capsys.readouterr().out)
+    assert {row["status"] for row in out["rows"]} == {"escape"}
+    assert out["verdict"] == "fail" and rc == 2
 
 
 def test_cli_gauss_on_an_indefinite_model_is_a_usage_error(capsys):

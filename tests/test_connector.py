@@ -74,6 +74,26 @@ def test_endpoint_of_the_wrong_length_is_out_of_chart(p, q):
         connect(model_registry("sphere2"), p, q)
 
 
+@pytest.mark.parametrize("name, p, q", [
+    ("hyperbolic2", (0.0, 1.0), (0.0, -1.0)),
+    ("clifton_pohl", (1.0, 0.5), (0.0, 0.0)),
+    ("sphere2", (1.0, 0.3), (4.0, 0.3)),
+], ids=["below_the_half_plane", "puncture", "beyond_the_pole"])
+def test_target_outside_the_chart_is_out_of_chart(name, p, q):
+    """q is checked as p is: no lift runs toward a point outside the chart,
+    so no refusal names a false mechanism (a conjugate hit on the hyperbolic
+    plane, which has none)."""
+    with pytest.raises(OutOfChart, match="outside chart"):
+        connect(model_registry(name), np.array(p), np.array(q))
+
+
+def test_connect_does_not_wrap_the_callers_target():
+    """The periodic representative of q nearest p is connect's own copy."""
+    q = np.array([1.0, 0.3 + 2.0 * np.pi])
+    assert connect(model_registry("sphere2"), np.array([1.0, 0.3]), q).connected
+    assert q.tolist() == [1.0, 0.3 + 2.0 * np.pi]
+
+
 def test_identical_endpoints():
     s = model_registry("sphere2")
     out = connect(s, np.array([1.0, 0.3]), np.array([1.0, 0.3]))
@@ -378,7 +398,7 @@ def test_desitter3_connects_exactly_the_reachable_targets():
         _assert_cost(out.witness, out.lift_trace)
 
 
-def test_domain_exit_and_stall_witnesses_carry_their_cost():
+def test_domain_exit_and_stall_witnesses_carry_their_cost(monkeypatch):
     # a Clifton-Pohl lift whose geodesic blows up in finite parameter
     cp = model_registry("clifton_pohl")
     out = connect(cp, np.array([-0.12990589779639006, 0.4402320320777484]),
@@ -390,7 +410,8 @@ def test_domain_exit_and_stall_witnesses_carry_their_cost():
     # below it: report its cost as well
     s = model_registry("sphere2")
     p, q = _LIFT_PAIR
-    out = _lift(s, p, q, ConnectConfig(connect_tol=1e-15))
+    monkeypatch.setattr(ConnectConfig, "connect_tol", 1e-15)
+    out = _lift(s, p, q, ConnectConfig())
     assert out.status == "Stalled"
     assert out.witness["reason"] == "final residual above connect_tol"
     assert 1e-15 < out.witness["residual"] < CORRECTOR_TOL

@@ -11,13 +11,15 @@ import pytest
 
 import geoconnect
 from geoconnect import (
-    DomainEscape, IntegratorConfig, NoOracle, StepSizeUnderflow, Termination, causal_class,
-    energy, energy_drift, exp, integrate_geodesic, integrate_variational,
-    model_registry, oracle_geodesic, oracle_geodesic_embedding, orthonormal_frame,
+    ConnectConfig, DomainEscape, IntegratorConfig, NoOracle, ProbeConfig, ProbeVerdict,
+    StepSizeUnderflow, Termination, causal_class, energy, energy_drift, exp,
+    integrate_geodesic, integrate_variational, model_registry, oracle_geodesic,
+    oracle_geodesic_embedding, orthonormal_frame,
 )
 from geoconnect import geodesic, jacobi
 from geoconnect.errors import OutOfChart
 from geoconnect.geodesic import _NormRecords, _brent
+from geoconnect.probes import SAMPLED_EVIDENCE
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -422,9 +424,47 @@ def test_stationary_path_has_dense_output():
     assert path.sol.ts.tolist() == [0.0] and path.steps == 0
 
 
+def test_stationary_path_is_exact_far_out():
+    """The stationary line answers every finite t exactly: no power of t
+    overflows into a NaN (t^4 did beyond about 1e77)."""
+    s = model_registry("sphere2")
+    path = integrate_geodesic(s, (1.0, 0.3), (0.0, 0.0), t_max=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(path.point(1e80), [1.0, 0.3])
+        assert np.array_equal(path.sol(np.array([-1e300, 1e80])),
+                              [[1.0, 1.0], [0.3, 0.3], [0.0, 0.0], [0.0, 0.0]])
+        x, vel, J = integrate_variational(s, (1.0, 0.3), (0.0, 0.0), t_max=2.0).split(1e80)
+    assert np.array_equal(x, [1.0, 0.3]) and np.array_equal(vel, [0.0, 0.0])
+    assert np.array_equal(J, 1e80 * np.eye(2))
+
+
+def test_single_valued_settings_are_class_constants():
+    """Settings no caller varies are class constants that instances still
+    read, not fields a constructor takes."""
+    fields = {cls: [f.name for f in dataclasses.fields(cls)]
+              for cls in (IntegratorConfig, ConnectConfig, ProbeConfig, ProbeVerdict)}
+    assert fields == {IntegratorConfig: ["rtol", "atol", "max_steps", "prefer_oracle"],
+                      ConnectConfig: ["integrator"],
+                      ProbeConfig: ["norm_cap"],
+                      ProbeVerdict: ["rows", "summary", "witness_curve"]}
+    assert IntegratorConfig().blowup_norm == 1e8
+    assert ConnectConfig().connect_tol == 1e-6
+    assert ProbeConfig().cauchy_tol == 1e-6
+    assert ProbeConfig().integrator == IntegratorConfig(prefer_oracle=True)
+    assert ProbeVerdict([], "ConsistentWithWeakProperness").caveat == SAMPLED_EVIDENCE
+    for make in (lambda: IntegratorConfig(blowup_norm=1e6),
+                 lambda: ConnectConfig(connect_tol=1e-8),
+                 lambda: ProbeConfig(cauchy_tol=1e-8),
+                 lambda: ProbeConfig(integrator=IntegratorConfig()),
+                 lambda: ProbeVerdict([], "Violation", None, "proof")):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_integrator_config_with():
     cfg = IntegratorConfig()
-    cfg2 = cfg.with_(rtol=1e-6)
+    cfg2 = dataclasses.replace(cfg, rtol=1e-6)
     assert cfg2.rtol == 1e-6 and cfg.rtol == 1e-10
     assert cfg2.atol == cfg.atol
 

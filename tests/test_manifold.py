@@ -20,7 +20,7 @@ def _interior_point(model, rng):
     hi = np.where(np.isfinite(model.domain.upper), model.domain.upper - 0.3, 1.5)
     while True:
         x = rng.uniform(lo, hi)
-        if model.domain.contains(x, margin=0.2):
+        if model.domain.margin(x) > 0.2:
             return x
 
 
@@ -221,7 +221,7 @@ def test_chart_domain_margin():
     assert dom.margin(np.array([0.5, 100.0])) == pytest.approx(0.5)
     assert dom.contains(np.array([1.0, -5.0]))
     assert not dom.contains(np.array([-0.1, 0.0]))
-    assert not dom.contains(np.array([0.2, 0.0]), margin=0.3)
+    assert dom.margin(np.array([0.2, 0.0])) <= 0.3
     assert ChartDomain.unbounded(3).is_trivial
 
 

@@ -253,6 +253,11 @@ def test_gauss_lemma_rejects_radii_outside_the_integrated_range(r_values):
     assert gauss_lemma_check(s, (1.0, 0.3), [0.5, 1.0], direction_count=4)["verdict"] == "pass"
 
 
+def test_gauss_lemma_needs_a_direction():
+    with pytest.raises(ValueError, match="direction_count"):
+        gauss_lemma_check(model_registry("sphere2"), (1.0, 0.3), [1.0], direction_count=0)
+
+
 def test_gauss_lemma_rejects_indefinite_model():
     m = model_registry("minkowski", n=2)
     with pytest.raises(ValueError):

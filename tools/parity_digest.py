@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Digest of a benchmark workload's results, for bitwise parity between commits.
+"""Digest of benchmark workloads' results, for bitwise parity between commits.
 
     python3 tools/parity_digest.py --workload connect --seed 1 --blocks 20 \
         [--save FILE] [--against FILE]
+    python3 tools/parity_digest.py --workload all --seeds 1,2,5 --blocks 20 ...
 
-Runs the first N blocks of a workload and seed through ``workloads.execute``
+Runs the first N blocks of each workload and seed through ``workloads.execute``
 and ``workloads.check`` from ``perfbench/`` (read only) on the geoconnect of
-this checkout.  Prints the operations, the failed checks, the status counts
-per kind and one digest over every field of every result: floats by
-``float.hex``, arrays by their bytes.  ``--save`` writes the per-operation
-digests and statuses; ``--against`` lists the operations whose result differs
-from a saved run.  A connect status carries "/fast" when ``local_log`` found it.
+this checkout.  Prints, per (workload, seed), the operations, the failed
+checks, the status counts per kind and one digest over every field and class
+constant of every result: floats by ``float.hex``, arrays by their bytes; then
+the totals and one digest over every run.  ``--save`` writes the
+per-operation digests and statuses of every run; ``--against`` lists the
+operations whose result differs from a saved file's run of the same workload
+and seed.  A connect status carries "/fast" when ``local_log`` found it.
 """
 import argparse
 import dataclasses
 import enum
 import hashlib
+import inspect
 import itertools
 import json
 import sys
@@ -31,6 +35,16 @@ import numpy as np  # noqa: E402
 
 import geoconnect as gc  # noqa: E402
 import workloads  # noqa: E402
+
+
+def value_names(cls) -> list[str]:
+    """A dataclass's fields and class constants (``ClassVar``) in declaration
+    order along the MRO, the order of ``dataclasses.fields``: a setting that
+    turns from a field into a constant keeps its place in the digest."""
+    names: dict = {}
+    for klass in reversed(cls.__mro__):
+        names.update(dict.fromkeys(inspect.get_annotations(klass)))
+    return list(names)
 
 
 def canon(x, out: list) -> None:
@@ -64,7 +78,7 @@ def canon(x, out: list) -> None:
     elif isinstance(x, (types.FunctionType, types.MethodType, partial)):
         out.append("callable")        # closures over state already digested
     elif dataclasses.is_dataclass(x):
-        canon({f.name: getattr(x, f.name) for f in dataclasses.fields(x)}, out)
+        canon({name: getattr(x, name) for name in value_names(type(x))}, out)
     elif hasattr(x, "__dict__") or hasattr(x, "__slots__"):
         names = list(getattr(x, "__dict__", {})) + list(getattr(x, "__slots__", ()))
         canon({name: getattr(x, name) for name in names}, out)
@@ -82,17 +96,11 @@ def status(result, error) -> str:
     return term.value if term is not None else "ok"
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--blocks", type=int, default=20)
-    ap.add_argument("--save", help="write the per-operation digests to this JSON file")
-    ap.add_argument("--against", help="list the operations that differ from this saved run")
-    args = ap.parse_args()
-    models, cfgs = workloads.build_models(gc), workloads.build_configs(gc)
+def run(workload: str, seed: int, blocks: int, models, cfgs) -> dict:
+    """One (workload, seed): its operations' kinds, statuses and digests, the
+    failed checks and the status counts per kind."""
     rows, failed, counts = [], [], Counter()
-    for block in itertools.islice(workloads.blocks(args.workload, args.seed), args.blocks):
+    for block in itertools.islice(workloads.blocks(workload, seed), blocks):
         for op in block:
             result, error = workloads.execute(gc, models, cfgs, op)
             reason = workloads.check(gc, models, cfgs, op, result, error)
@@ -104,24 +112,66 @@ def main() -> int:
             counts[op.kind, label] += 1
             rows.append({"kind": op.kind, "status": label,
                          "digest": hashlib.sha256("\n".join(parts).encode()).hexdigest()})
-    total = hashlib.sha256("".join(r["digest"] for r in rows).encode()).hexdigest()
-    print(f"{args.workload} seed {args.seed}, {args.blocks} blocks: {len(rows)} operations, "
-          f"{len(failed)} failed checks")
-    for i, kind, reason in failed:
-        print(f"  FAILED #{i} {kind}: {reason}")
-    for (kind, label), n in sorted(counts.items()):
-        print(f"  {kind:32s} {label:28s} {n}")
-    print(f"digest {total}")
+    digest = hashlib.sha256("".join(r["digest"] for r in rows).encode()).hexdigest()
+    return {"workload": workload, "seed": seed, "digest": digest, "operations": rows,
+            "failed": failed, "counts": counts}
+
+
+def seed_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", choices=[*sorted(workloads.WORKLOADS), "all"], required=True)
+    ap.add_argument("--seeds", "--seed", dest="seeds", type=seed_list, default=[1],
+                    help="one seed or a comma-separated list")
+    ap.add_argument("--blocks", type=int, default=20)
+    ap.add_argument("--save", help="write the per-operation digests to this JSON file")
+    ap.add_argument("--against", help="list the operations that differ from this saved file")
+    args = ap.parse_args()
+    names = sorted(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    models, cfgs = workloads.build_models(gc), workloads.build_configs(gc)
+    runs = [run(name, seed, args.blocks, models, cfgs) for name in names for seed in args.seeds]
+    for r in runs:
+        print(f"{r['workload']} seed {r['seed']}, {args.blocks} blocks: "
+              f"{len(r['operations'])} operations, {len(r['failed'])} failed checks")
+        for i, kind, reason in r["failed"]:
+            print(f"  FAILED #{i} {kind}: {reason}")
+        for (kind, label), n in sorted(r["counts"].items()):
+            print(f"  {kind:32s} {label:28s} {n}")
+        print(f"digest {r['digest']}")
+    total = hashlib.sha256("".join(r["digest"] for r in runs).encode()).hexdigest()
+    operations = sum(len(r["operations"]) for r in runs)
+    failed = sum(len(r["failed"]) for r in runs)
+    if len(runs) > 1:
+        print(f"all {len(runs)} runs: {operations} operations, {failed} failed checks")
+        print(f"total digest {total}")
     if args.save:
-        Path(args.save).write_text(json.dumps({"digest": total, "operations": rows}))
+        Path(args.save).write_text(json.dumps({"digest": total, "runs": [
+            {key: r[key] for key in ("workload", "seed", "digest", "operations")}
+            for r in runs]}))
     if args.against:
-        saved = json.loads(Path(args.against).read_text())["operations"]
-        differ = [i for i, (a, b) in enumerate(zip(rows, saved)) if a != b]
-        for i in differ:
-            print(f"  differs #{i} {rows[i]['kind']}: {saved[i]['status']} -> "
-                  f"{rows[i]['status']}")
-        print(f"{len(differ)} of {min(len(rows), len(saved))} operations differ"
-              + ("" if len(rows) == len(saved) else f"; counts {len(saved)} -> {len(rows)}"))
+        saved = {(r["workload"], r["seed"]): r["operations"]
+                 for r in json.loads(Path(args.against).read_text())["runs"]}
+        differ = compared = missing = 0
+        for r in runs:
+            rows = r["operations"]
+            old = saved.get((r["workload"], r["seed"]))
+            if old is None:
+                print(f"  {r['workload']} seed {r['seed']}: no saved run")
+                missing += 1
+                continue
+            for i, (a, b) in enumerate(zip(rows, old)):
+                if a != b:
+                    differ += 1
+                    print(f"  differs {r['workload']} seed {r['seed']} #{i} {a['kind']}: "
+                          f"{b['status']} -> {a['status']}")
+            compared += min(len(rows), len(old))
+            if len(rows) != len(old):
+                print(f"  {r['workload']} seed {r['seed']}: counts {len(old)} -> {len(rows)}")
+        print(f"{differ} of {compared} operations differ"
+              + (f"; {missing} runs not in {args.against}" if missing else ""))
     return 1 if failed else 0
 
 
