@@ -123,7 +123,6 @@ def _add_model_args(p: argparse.ArgumentParser):
     p.add_argument("--config", help="INI model configuration file")
     # atol is set to rtol / 100, which must stay positive
     p.add_argument("--rtol", type=_positive, help="integrator relative tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled subcommands")
 
 
 def cmd_models(args) -> int:
@@ -220,7 +219,8 @@ def _probe_family(model, args, norm_cap: float):
         pts = [_model_vector(model, t, "--waypoints")
                for t in (args.waypoints or "").split(";") if t]
         if not pts:
-            raise ConfigError("polyline family needs --waypoints p1;p2;...")
+            raise argparse.ArgumentTypeError(
+                "argument --waypoints: the polyline family needs --waypoints p1;p2;...")
         return polyline_family(pts)
     raise ConfigError(f"unknown probe family {name!r}")
 
@@ -241,7 +241,7 @@ def cmd_probe(args) -> int:
             "witness_curve": verdict.witness_curve,
             "caveat": verdict.caveat,
         }
-        ok = verdict.summary != "Violation"
+        ok = verdict.summary == "ConsistentWithWeakProperness"
     elif kind == "disprison":
         seeds = [Tangent.of(args.point, u)
                  for u in _seeded_directions(np.eye(model.dim), args.count, args.seed)]
@@ -250,7 +250,8 @@ def cmd_probe(args) -> int:
         ok = True
     elif kind == "pseudoconvex":
         if args.box is None:
-            raise ConfigError("pseudoconvex probe needs --box lo1,..;hi1,..")
+            raise argparse.ArgumentTypeError(
+                "argument --box: the pseudoconvex probe needs --box lo1,..;hi1,..")
         parts = args.box.split(";")
         if len(parts) != 2:
             raise argparse.ArgumentTypeError(f"argument --box: {args.box!r} is not 'lo;hi'")
@@ -258,9 +259,12 @@ def cmd_probe(args) -> int:
         if not np.all(lo < hi):
             raise argparse.ArgumentTypeError(
                 f"argument --box: {args.box!r} needs lo < hi in every coordinate")
-        out = pseudoconvexity_probe(model, (lo, hi), sample_count=args.count,
-                                    horizon=args.tmax, seed=args.seed,
-                                    cfg=_integrator(args))
+        try:
+            out = pseudoconvexity_probe(model, (lo, hi), sample_count=args.count,
+                                        horizon=args.tmax, seed=args.seed,
+                                        cfg=_integrator(args))
+        except ValueError as err:   # no draw inside the chart
+            raise argparse.ArgumentTypeError(f"argument --box: {err}") from None
         ok = out["verdict"] != "Unbounded"
     elif kind == "gauss":
         if not model.is_riemannian:
@@ -270,7 +274,7 @@ def cmd_probe(args) -> int:
             raise argparse.ArgumentTypeError(
                 f"argument --tmax: gauss needs a positive radius, not {args.tmax:g}")
         rs = np.linspace(args.tmax / 32.0, args.tmax, 32)
-        out = gauss_lemma_check(model, args.point, rs, direction_count=32,
+        out = gauss_lemma_check(model, args.point, rs, direction_count=args.count,
                                 cfg=_integrator(args))
         ok = out["verdict"] == "pass"
     else:
@@ -339,6 +343,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("probe", help="empirical geometry probes (JSON output)")
     _add_model_args(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled points")
     p.add_argument("--kind", required=True,
                    choices=["weakproper", "disprison", "pseudoconvex", "gauss"])
     p.add_argument("--point", type=_vector, default=None)
@@ -353,6 +358,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("convex-check", help="convexity certificate for --f")
     _add_model_args(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled points")
     p.add_argument("--f", required=True, help="scalar field expression in x1..xn")
     p.add_argument("--count", type=int, default=100)
     p.set_defaults(fn=cmd_convex_check)

@@ -47,10 +47,11 @@ RAY_SAMPLES = 32          # dexp samples along the fast path's ray
 
 @dataclass(frozen=True)
 class ConnectConfig:
-    connect_tol: ClassVar[float] = 1e-6   # largest |exp_p(v) - q| a Connected lift may leave
+    # the bound every Connected result meets: CORRECTOR_TOL decides a
+    # connection, at exp_p(v) on ``integrator``, and lies below it
+    connect_tol: ClassVar[float] = 1e-6
     integrator: IntegratorConfig = field(
-        # step cap keeps runaway correction geodesics from stalling the lift;
-        # the final residual is re-checked against connect_tol regardless
+        # step cap keeps runaway correction geodesics from stalling the lift
         default_factory=lambda: IntegratorConfig(rtol=1e-8, atol=1e-10, max_steps=4000)
     )
 
@@ -85,11 +86,14 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
     accepts the first residual below FAR_RESIDUAL, within NEWTON_ITERATIONS.
 
     Returns (flag, v, frame, residual, iterations, frames), flag one of 'ok'
-    (residual accepted), 'conjugate' (frame singular or below SV_FLOOR),
-    'escape' (frame is the DomainEscape) or 'fail'; ``frames`` counts the
+    (residual accepted), 'conjugate' (frame below SV_FLOOR), 'escape'
+    (frame is the DomainEscape) or 'fail'; ``frames`` counts the
     differentials computed.  A returned frame's ``matrix``, singular value
     and ``ray`` belong to the last differential computed, its ``endpoint``
-    to exp_p at the returned v.
+    to exp_p at the returned v.  Each differential is compared with
+    SV_FLOOR where it is computed, before the residual is accepted and
+    before any step solves with it; a coarse one after the residual at its
+    own endpoint is measured.  So an 'ok' frame is never below SV_FLOOR.
 
     While the residual is at or above FAR_RESIDUAL, each iterate computes
     d(exp_p) on ``_coarse(integrator)`` and takes a full Newton step, and a
@@ -133,22 +137,21 @@ def _newton(model: ManifoldModel, p: np.ndarray, v: np.ndarray, target: np.ndarr
                     return "fail", v, None, residual, it, frames
             r = _wrap_delta(model, x - target)
             last_residual, residual = residual, float(np.linalg.norm(r))
+            if far and frame.min_singular_value < SV_FLOOR:
+                return "conjugate", v, frame, residual, it, frames
             if residual < tol and not (final and far):
                 return "ok", v, replace(frame, endpoint=x), residual, it, frames
             refresh = chord and not far and not residual <= CHORD_CONTRACTION * last_residual
             if refresh:
                 frame = dexp_matrix(model, p, v, integrator)
                 frames += 1
+                if frame.min_singular_value < SV_FLOOR:
+                    return "conjugate", v, frame, residual, it, frames
         except DomainEscape as esc:
             return "escape", v, esc, residual, it, frames
         except (LinearizationFailure, StepSizeUnderflow):
             return "fail", v, None, residual, it, frames
-        if frame.min_singular_value < SV_FLOOR:
-            return "conjugate", v, frame, residual, it, frames
-        try:
-            dv = np.linalg.solve(frame.matrix, r)
-        except np.linalg.LinAlgError:
-            return "conjugate", v, frame, residual, it, frames
+        dv = np.linalg.solve(frame.matrix, r)
         dv_norm = float(np.linalg.norm(dv))
         if residual >= FAR_RESIDUAL and not dv_norm < dv_prev:
             return "fail", v, frame, residual, it, frames
@@ -260,16 +263,16 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
     Each target is predicted through the last accepted frame and corrected by
     ``_newton``, seeded with the predictor's step.  An intermediate point
     only has to lie in the next corrector's Newton basin, so every target
-    before sigma(ell) gets the intermediate corrector: coarse differentials
+    before the last gets the intermediate corrector: coarse differentials
     to FAR_RESIDUAL, and its accepted frame is the coarse differential at
-    the accepted v.  Only the last target gets the final corrector, the one
-    ``local_log`` runs: coarse while far, then chord steps on
-    ``cfg.integrator`` to CORRECTOR_TOL, within LOG_ITERATIONS, since it
+    the accepted v.  The last target is q itself, and only it gets the final
+    corrector, the one ``local_log`` runs: coarse while far, then chord steps
+    on ``cfg.integrator`` to CORRECTOR_TOL, within LOG_ITERATIONS, since it
     starts from a coarse point (Allgower & Georg, *Introduction to Numerical
-    Continuation Methods*, 2003).  The final connect_tol check reads that
-    corrector's endpoint, exp_p(v) on ``cfg.integrator``, without
-    integrating again.  A singular frame, met by the predictor or the
-    corrector, ends the lift with ConjugateHit, whose witness holds
+    Continuation Methods*, 2003).  Its acceptance alone decides Connected.
+    The corrector judges every frame it computes against SV_FLOOR, so the
+    predictor only solves with regular frames; a frame below SV_FLOOR ends
+    the lift with the corrector's ConjugateHit, whose witness holds
     ``t_hit``, ``v_at_hit`` and ``min_singular_value``.  A corrector that
     fails halves the step; once the step is below 1e-7 * ell the lift ends
     Stalled.
@@ -309,13 +312,8 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
         attempts += 1
         dt = min(dt, ell - t)
         last = t + dt >= ell
-        target = p + (t + dt) * direction
-        try:
-            dv = np.linalg.solve(frame.matrix,
-                                 -_wrap_delta(model, frame.endpoint - target))
-        except np.linalg.LinAlgError:
-            return refuse("ConjugateHit", {"t_hit": t, "v_at_hit": v.tolist(),
-                                           "min_singular_value": frame.min_singular_value})
+        target = q if last else p + (t + dt) * direction
+        dv = np.linalg.solve(frame.matrix, -_wrap_delta(model, frame.endpoint - target))
         flag, v_new, frame_new, res, it, frames = _newton(
             model, p, v + dv, target, cfg.integrator, float(np.linalg.norm(dv)), final=last)
         newton_iterations += it
@@ -356,12 +354,6 @@ def _lift(model: ManifoldModel, p: np.ndarray, q: np.ndarray,
                     "lift_norms": [float(np.linalg.norm(row["v"])) for row in trace],
                     "residuals": [row["residual"] for row in trace]})
         dt = min(dt * 1.4, ell / 8.0)
-    # sigma ends at q only up to its own accuracy: check q against the
-    # endpoint of the last accepted frame
-    residual = float(np.linalg.norm(_wrap_delta(model, frame.endpoint - q)))
-    if residual > cfg.connect_tol:
-        return refuse("Stalled", {"reason": "final residual above connect_tol",
-                                  "residual": residual})
     return LiftOutcome("Connected", v, trace, cost({}))
 
 
@@ -384,7 +376,7 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
     lift along the chart segment from p to q, whose outcome is returned with
     the fast path's ``newton_iterations`` and ``dexp_calls`` added to its
     witness.  Both end in the same final corrector, with one tolerance,
-    CORRECTOR_TOL.  A q within 1e-3 connect_tol of p, an absolute distance in
+    CORRECTOR_TOL.  A q within CORRECTOR_TOL of p, an absolute distance in
     the chart, is connected with v = 0.
 
     A ConjugateHit means the segment's lift reached a singular frame; it
@@ -398,7 +390,7 @@ def connect(model: ManifoldModel, p, q, cfg: ConnectConfig | None = None) -> Lif
     # the target path may force the lift around a chart seam with no
     # continuous preimage
     q = _wrap_near(model, q, p)
-    if np.allclose(p, q, rtol=0.0, atol=cfg.connect_tol * 1e-3):
+    if np.allclose(p, q, rtol=0.0, atol=CORRECTOR_TOL):
         return LiftOutcome("Connected", np.zeros_like(p), [],
                            {"newton_iterations": 0, "dexp_calls": 0})
     # fast path: q inside the normal neighborhood of p

@@ -511,11 +511,14 @@ def complement_grid(model: ManifoldModel, p, cluster_pts: list[np.ndarray]):
 
 
 def component_of_point(sample: "ConjugateLocusSample", q) -> int | None:
-    """Label of the sampled complement component containing q (surfaces only)."""
+    """Label of the sampled complement component containing q (surfaces only);
+    None for a blocked cell and for a q outside the sampled box."""
     if sample.complement is None:
         return None
     xs, ys, labels = sample.complement
     q = np.asarray(q, dtype=float)
+    if not (xs[0] <= q[0] <= xs[-1] and ys[0] <= q[1] <= ys[-1]):
+        return None
     i = int(np.argmin(np.abs(xs - q[0])))
     j = int(np.argmin(np.abs(ys - q[1])))
     lab = int(labels[i, j])

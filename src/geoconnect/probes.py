@@ -59,7 +59,7 @@ class ProbeCurveFamily:
 @dataclass
 class ProbeVerdict:
     rows: list[dict]
-    summary: str                     # ConsistentWithWeakProperness | Violation
+    summary: str           # ConsistentWithWeakProperness | Violation | Undecided
     witness_curve: Optional[str] = None
     caveat: ClassVar[str] = SAMPLED_EVIDENCE
 
@@ -139,7 +139,12 @@ def polyline_family(points: Sequence[Sequence[float]],
 
 def weak_properness_probe(model: ManifoldModel, p, family: ProbeCurveFamily,
                           cfg: ProbeConfig | None = None) -> ProbeVerdict:
-    """Image-convergence vs lift-boundedness test for exp_p along each curve."""
+    """Image-convergence vs lift-boundedness test for exp_p along each curve.
+
+    The summary is Violation with a witness curve whose images converge while
+    its lift is unbounded; else ConsistentWithWeakProperness when some row has
+    its image tail evaluated (``image_convergent`` set), and Undecided, with
+    no witness curve, when none has."""
     cfg = cfg or ProbeConfig()
     p = np.asarray(p, dtype=float)
     rows = []
@@ -184,7 +189,12 @@ def weak_properness_probe(model: ManifoldModel, p, family: ProbeCurveFamily,
             row["status"] = "violation"
             witness = curve.curve_id
         rows.append(row)
-    summary = "Violation" if witness else "ConsistentWithWeakProperness"
+    if witness:
+        summary = "Violation"
+    elif any(row["image_convergent"] is not None for row in rows):
+        summary = "ConsistentWithWeakProperness"
+    else:
+        summary = "Undecided"
     return ProbeVerdict(rows, summary, witness)
 
 
@@ -256,7 +266,8 @@ def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 
 
     One seeded run of 2 * sample_count draws; the first row is K* after the
     first sample_count of them, the second after all.  Raises ValueError
-    unless lo < hi in every coordinate of box = (lo, hi)."""
+    unless lo < hi in every coordinate of box = (lo, hi), and when no draw
+    lies inside the chart."""
     cfg = cfg or IntegratorConfig()
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
@@ -266,6 +277,7 @@ def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 
     bb_lo = lo.copy()
     bb_hi = hi.copy()
     segments = 0
+    drawn_inside = 0
     scale = float(np.max(hi - lo))
     rows = []
     diagonals = []
@@ -274,6 +286,7 @@ def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 
             p = rng.uniform(lo, hi)
             if not model.domain.contains(p):
                 continue
+            drawn_inside += 1
             u = rng.standard_normal(model.dim)
             v = scale * u / np.linalg.norm(u)
             try:
@@ -294,6 +307,9 @@ def pseudoconvexity_probe(model: ManifoldModel, box: tuple, sample_count: int = 
         rows.append({"samples": samples, "segments": segments,
                      "Kstar_lower": bb_lo.tolist(), "Kstar_upper": bb_hi.tolist()})
         diagonals.append(float(np.linalg.norm(bb_hi - bb_lo)))
+    if not drawn_inside:
+        raise ValueError(f"box {lo.tolist()} to {hi.tolist()}: none of its "
+                         f"{2 * sample_count} draws lies inside the chart")
     unbounded = diagonals[1] > 1.2 * diagonals[0]
     return {
         "kind": "pseudoconvex",

@@ -393,6 +393,11 @@ def test_cli_gauss_on_an_indefinite_model_is_a_usage_error(capsys):
       "--point", "1,0.3"], "--family"),
     (["--model", "euclidean", "--dim", "2", "--kind", "pseudoconvex",
       "--box", "1,1;0.5,0.5"], "--box"),
+    (["--model", "sphere2", "--kind", "pseudoconvex", "--box", "5,5;6,6", "--count", "8"],
+     "--box"),
+    (["--model", "euclidean", "--dim", "2", "--kind", "pseudoconvex"], "--box"),
+    (["--model", "euclidean", "--dim", "2", "--kind", "weakproper", "--point", "0,0",
+      "--family", "polyline"], "--waypoints"),
 ])
 def test_cli_probe_input_the_probe_cannot_take_is_a_usage_error(argv, flag, capsys):
     assert main(["probe", *argv]) == 1
@@ -491,6 +496,41 @@ def test_cli_convexity_has_one_entry(argv, capsys):
         main(argv)
     assert exit_info.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--model", "sphere2", "--from", "1,0.3", "--vel", "0.1,0.1"],
+    ["exp", "--model", "sphere2", "--from", "1,0.3", "--vel", "0.1,0.1"],
+    ["connect", "--model", "sphere2", "--from", "1,0.3", "--to", "1.2,0.4"],
+    ["conj-locus", "--model", "sphere2", "--point", "1,0.3"],
+], ids=["shoot", "exp", "connect", "conj-locus"])
+def test_cli_seed_only_where_points_are_sampled(argv, capsys):
+    """Only probe and convex-check draw seeded samples; elsewhere --seed
+    is an unknown flag, a usage error."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", "3"])
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_cli_gauss_sweeps_count_directions(capsys):
+    rc = main(["probe", "--model", "sphere2", "--kind", "gauss", "--point", "1,0.3",
+               "--tmax", "1", "--count", "4"])
+    out = json.loads(capsys.readouterr().out)
+    assert out["params"]["directions"] == 4
+    assert {row["direction"] for row in out["rows"]} == set(range(4))
+    assert out["verdict"] == "pass" and rc == 0
+
+
+def test_cli_weakproper_with_no_evaluated_curve_is_undecided(capsys):
+    """Every radial ray from (1, 0.5) leaves the Clifton-Pohl domain: with
+    no image tail evaluated the verdict is Undecided, which exits 2."""
+    rc = main(["probe", "--model", "clifton_pohl", "--kind", "weakproper", "--point", "1,0.5",
+               "--family", "radial"])
+    out = json.loads(capsys.readouterr().out)
+    assert {row["status"] for row in out["rows"]} == {"domain_escape"}
+    assert out["verdict"] == "Undecided" and out["witness_curve"] is None
+    assert rc == 2
 
 
 def test_cli_seed_determinism(capsys):

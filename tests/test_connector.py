@@ -398,7 +398,7 @@ def test_desitter3_connects_exactly_the_reachable_targets():
         _assert_cost(out.witness, out.lift_trace)
 
 
-def test_domain_exit_and_stall_witnesses_carry_their_cost(monkeypatch):
+def test_domain_exit_witness_carries_its_cost():
     # a Clifton-Pohl lift whose geodesic blows up in finite parameter
     cp = model_registry("clifton_pohl")
     out = connect(cp, np.array([-0.12990589779639006, 0.4402320320777484]),
@@ -406,15 +406,19 @@ def test_domain_exit_and_stall_witnesses_carry_their_cost(monkeypatch):
     assert out.status == "DomainExit"
     assert out.witness["termination"] == "BlowUp"
     _assert_cost(out.witness, out.lift_trace)
-    # a lift whose final endpoint meets CORRECTOR_TOL but not a connect_tol
-    # below it: report its cost as well
+
+
+def test_corrector_tol_alone_decides_a_lifted_connection(monkeypatch):
+    """The lift's last target is q itself, so its final corrector's
+    CORRECTOR_TOL decides Connected: connect_tol, the bound callers may
+    check, leaves the outcome alone even when it is set below CORRECTOR_TOL."""
     s = model_registry("sphere2")
     p, q = _LIFT_PAIR
+    cfg = ConnectConfig()
     monkeypatch.setattr(ConnectConfig, "connect_tol", 1e-15)
-    out = _lift(s, p, q, ConnectConfig())
-    assert out.status == "Stalled"
-    assert out.witness["reason"] == "final residual above connect_tol"
-    assert 1e-15 < out.witness["residual"] < CORRECTOR_TOL
+    out = _lift(s, p, q, cfg)
+    assert out.status == "Connected"
+    assert np.linalg.norm(_wrap_delta(s, exp(s, p, out.v, cfg.integrator) - q)) < CORRECTOR_TOL
     _assert_cost(out.witness, out.lift_trace)
 
 
@@ -660,8 +664,8 @@ def test_desitter_oracle_fast_path_integrates_nothing(monkeypatch):
 
 
 def test_lift_checks_its_last_frame_without_a_new_dexp(monkeypatch):
-    """The final residual check after a lift reads the last accepted frame:
-    one integration, by dexp or exp, runs at the returned v."""
+    """The lift's final corrector accepts the endpoint it integrated at the
+    returned v: one integration, by dexp or exp, runs at that v."""
     s = model_registry("sphere2")
     p = np.array([1.720708, -2.007481])
     q = np.array([0.771795, -4.837131])
@@ -771,31 +775,53 @@ def test_lift_refreshes_a_chord_step_that_stops_contracting():
     assert np.linalg.norm(_wrap_delta(d, end - q)) < _DS_CONNECT.connect_tol
 
 
-def test_predictor_conjugate_hit_reports_where_it_read_the_frame(monkeypatch):
-    """An accepted frame that is exactly singular stops the lift in the
-    predictor's solve; that ConjugateHit carries the corrector's witness
-    keys, with v_at_hit the last accepted v."""
+def _singular_frames(monkeypatch, only_cfg=None):
+    """Make every frame at v != 0 exactly singular, or only those computed
+    on ``only_cfg``: smallest singular value 0, endpoint kept."""
     module = sys.modules["geoconnect.connect"]
     real = module.dexp_matrix
 
     def singular(model, p, v, cfg=None):
         frame = real(model, p, v, cfg)
-        if not np.any(v):
+        if not np.any(v) or only_cfg not in (None, cfg):
             return frame
         return DifferentialFrame(np.diag([1.0, 0.0]), 0.0, frame.endpoint, frame.ray)
 
     monkeypatch.setattr(module, "dexp_matrix", singular)
+
+
+def test_singular_frame_ends_the_lift_in_the_corrector(monkeypatch):
+    """A frame that is exactly singular is judged where the corrector
+    computes it: the lift ends at its first attempt with the corrector's
+    ConjugateHit at the first target, and the predictor never solves with
+    that frame."""
+    _singular_frames(monkeypatch)
     e = model_registry("euclidean", n=2)
     p, q = np.zeros(2), np.array([1.0, 2.0])
     out = _lift(e, p, q, ConnectConfig())
     assert out.status == "ConjugateHit"
     w = out.witness
-    assert w["attempts"] == 2 and w["lift_steps"] == 1
-    assert w["t_hit"] == out.lift_trace[0]["t"]
-    assert w["v_at_hit"] == out.lift_trace[0]["v"]
+    assert w["attempts"] == 1 and w["lift_steps"] == 0
+    assert w["t_hit"] == np.linalg.norm(q - p) / 16.0
     assert w["min_singular_value"] == 0.0
     _assert_cost(w, out.lift_trace)
     jsonschema.validate(connect_report(e, out, p, q), _schema())
+
+
+def test_intermediate_corrector_never_accepts_a_frame_below_the_floor(monkeypatch):
+    """The intermediate corrector accepts a residual below FAR_RESIDUAL at
+    the coarse frame's own endpoint; that frame is compared with SV_FLOOR
+    first.  On the flat plane the seed q - p has a residual far below
+    FAR_RESIDUAL, and a singular coarse frame there ends the run as
+    'conjugate', not 'ok'."""
+    fine = ConnectConfig().integrator
+    _singular_frames(monkeypatch, only_cfg=_coarse(fine))
+    e = model_registry("euclidean", n=2)
+    p, q = np.zeros(2), np.array([1.0, 2.0])
+    flag, v, frame, residual, it, frames = _newton(e, p, q - p, q, fine, np.inf, final=False)
+    assert (flag, it, frames) == ("conjugate", 0, 1)
+    assert residual < CORRECTOR_TOL and np.array_equal(v, q - p)
+    assert frame.min_singular_value == 0.0 < SV_FLOOR
 
 
 @pytest.mark.parametrize("name, p, q, cfg, status", [

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from geoconnect import (
-    DomainEscape, GeodesicPath, IntegratorConfig, energy_drift, Termination, conjugate_locus_sample,
-    dexp_matrix, exp, first_conjugate_time, hyperboloid_sweep_family, integrate_geodesic,
-    integrate_variational, model_registry, normalize_direction, radial_ray_family,
+    DomainEscape, GeodesicPath, IntegratorConfig, LiftOutcome, energy_drift, Termination,
+    conjugate_locus_sample, connect_report, dexp_matrix, exp, first_conjugate_time,
+    hyperboloid_sweep_family, integrate_geodesic, integrate_variational, model_registry,
+    normalize_direction, radial_ray_family, render_report,
 )
 from geoconnect import jacobi
 from geoconnect.geodesic import _integrate
@@ -448,6 +449,25 @@ def test_component_of_point_reads_the_sampled_complement(monkeypatch):
     label = labels[np.argmin(np.abs(xs - q[0])), np.argmin(np.abs(ys - q[1]))]
     assert component_of_point(sample, q) == label >= 0
     assert calls == []
+
+
+def test_component_of_point_is_none_outside_the_sampled_box():
+    """The complement is sampled on a box about p: a q beyond it has no
+    label, not the label of the nearest edge cell, and a connect report says
+    so.  Inside the box the nearest cell's label stands."""
+    h = model_registry("hyperbolic2")
+    p = (0.0, 1.0)
+    sample = conjugate_locus_sample(h, p, t_max=2.0, count=8, refine=0)
+    xs, ys, labels = sample.complement
+    assert (xs[0], xs[-1]) == pytest.approx((-2 * np.pi, 2 * np.pi))
+    for q in ((100.0, 1.0), (0.0, 50.0)):
+        assert component_of_point(sample, q) is None
+        outcome = LiftOutcome("Stalled", None, [], {"reason": "corrector step underflow"})
+        report = connect_report(h, outcome, p, q, locus=sample)
+        assert "target in sampled complement component: None" in render_report(report)
+    q = np.array([0.5, 1.5])
+    assert component_of_point(sample, q) == labels[np.argmin(np.abs(xs - q[0])),
+                                                   np.argmin(np.abs(ys - q[1]))] >= 0
 
 
 SCAN_CFG = IntegratorConfig(rtol=1e-8, atol=1e-10)

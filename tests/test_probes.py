@@ -44,6 +44,21 @@ def test_euclidean_weak_properness_consistent():
         assert verdict.summary == "ConsistentWithWeakProperness"
 
 
+@pytest.mark.parametrize("name, p, family", [
+    ("clifton_pohl", (1.0, 0.5), lambda m, p: radial_ray_family(m, p, count=8)),
+    ("sphere2", (1.0, 0.3), lambda m, p: spiral_family(m, p, count=0)),
+], ids=["every-ray-escapes", "no-curve"])
+def test_weak_properness_without_an_evaluated_tail_is_undecided(name, p, family):
+    """With no curve whose image tail was evaluated there is no evidence
+    either way: every Clifton-Pohl ray from (1, 0.5) leaves the domain, and
+    an empty family has no rows."""
+    m = model_registry(name)
+    verdict = weak_properness_probe(m, p, family(m, p))
+    assert verdict.summary == "Undecided"
+    assert verdict.witness_curve is None
+    assert all(row["image_convergent"] is None for row in verdict.rows)
+
+
 def test_desitter_weak_properness_violation():
     """A constant-g-norm boost sweep converges in the image with unbounded lift."""
     d = model_registry("desitter", n=2)
@@ -170,6 +185,14 @@ def test_pseudoconvexity_box_needs_lo_below_hi(hi):
     e = model_registry("euclidean", n=2)
     with pytest.raises(ValueError, match="lo < hi"):
         pseudoconvexity_probe(e, (np.array([1.0, 1.0]), np.array(hi)), sample_count=4)
+
+
+def test_pseudoconvexity_box_outside_the_chart_is_refused():
+    """No draw of a box beyond sphere2's polar chart lies inside it: there
+    are no segments to bound, so the probe names the box instead of a verdict."""
+    s = model_registry("sphere2")
+    with pytest.raises(ValueError, match=r"box \[5.0, 5.0\] to \[6.0, 6.0\]"):
+        pseudoconvexity_probe(s, (np.array([5.0, 5.0]), np.array([6.0, 6.0])), sample_count=8)
 
 
 def test_pseudoconvexity_report_fields():

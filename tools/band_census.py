@@ -4,8 +4,9 @@
     python3 tools/band_census.py [--sets reachable,lift,unreachable,clifton_pohl]
 
 Four seeded sets of two-point queries, each printed with its status counts,
-the differentials d(exp_p) its witnesses report (``dexp_calls``) and its
-process CPU time:
+``Stalled`` split by the witness's ``reason`` and ``DomainExit`` by its
+``termination``, the differentials d(exp_p) its witnesses report
+(``dexp_calls``) and its process CPU time:
 
 - ``reachable``: ``connect`` on desitter(2) from the chart origin to the
   targets with η ∈ (−1, −0.999] of seeds 0–1, 30 each, on ``_DS_CONNECT``;
@@ -44,6 +45,12 @@ UNREACHABLE = (-1.1, -1.0001)
 PER_SEED = 30
 CENSUS_PAIRS = 40
 CENSUS_MIN_NORM = 0.2
+
+
+def _label(out) -> str:
+    """The status, with the reason of a stall or the termination of a domain exit."""
+    detail = {"Stalled": "reason", "DomainExit": "termination"}.get(out.status)
+    return f"{out.status} ({out.witness[detail]})" if detail else out.status
 
 
 def _desitter_queries(seeds, band):
@@ -86,7 +93,7 @@ def main() -> int:
         statuses, differentials = Counter(), 0
         for model, p, q in queries():
             out = solve(model, p, q, cfg)
-            statuses[out.status] += 1
+            statuses[_label(out)] += 1
             differentials += out.witness["dexp_calls"]
         counts = ", ".join(f"{n} {status}" for status, n in sorted(statuses.items()))
         print(f"{name}: {sum(statuses.values())} queries: {counts}; "
